@@ -158,7 +158,7 @@ func runScale(cfg scaleConfig) error {
 	}
 
 	table := stats.NewTable("algo", "n", "m", "rounds", "msgs", "wall ms", "allocs", "peak rss MB")
-	runCell := func(g *graph.Graph, algo string) error {
+	measure := func(g *graph.Graph, algo string) error {
 		row, err := benchScaleCell(g, algo, cfg.seed)
 		if err != nil {
 			return err
@@ -175,7 +175,7 @@ func runScale(cfg scaleConfig) error {
 	}
 	if instances != nil {
 		for _, algo := range cfg.algos {
-			if err := runCell(instances[0], algo); err != nil {
+			if err := measure(instances[0], algo); err != nil {
 				return err
 			}
 		}
@@ -183,7 +183,7 @@ func runScale(cfg scaleConfig) error {
 		for _, n := range cfg.sizes {
 			g := scaleGraph(n, cfg.seed)
 			for _, algo := range cfg.algos {
-				if err := runCell(g, algo); err != nil {
+				if err := measure(g, algo); err != nil {
 					return err
 				}
 			}

@@ -1,11 +1,21 @@
 // Command clusterbench measures the cluster fast path: it spins up an
 // in-process fleet of real single-node reprod workers (each behind its own
-// httptest server, exactly as internal/cluster's harness does), runs the
-// same 256-cell seed-sweep batch through a coordinator twice — once with
-// grouped dispatch (the default: job groups over the binary wire codec) and
-// once with the legacy one-job-per-cell JSON dispatch (Config.PerCell) — and
-// reports end-to-end cells/sec for both, plus their ratio. Each mode gets a
-// fresh fleet so result caches cannot skew the comparison.
+// httptest server, exactly as internal/cluster's harness does) and runs the
+// same 256-cell seed-sweep batch through a coordinator in two modes —
+// grouped dispatch at the default group size, and GroupSize=1, where every
+// cell is a group of its own — then reports end-to-end cells/sec for both,
+// plus their ratio. Both modes run the same dispatch code; only the group
+// size differs. Every run gets a fresh fleet so result caches cannot skew
+// the comparison.
+//
+// The runs are steadied three ways. The workers sit at fixed base URLs
+// (http://worker-<i>.clusterbench, mapped to their loopback listeners by the
+// coordinator's dialer): the ring hashes the URL, so graph placement is the
+// same in every run — with httptest's random ports it varied, and a batch
+// whose two graphs landed on one worker ran at half the GroupSize=1
+// throughput of one spread over two. The modes alternate run by run, so
+// drift in the host's speed hits both alike. And each mode reports the
+// median of its runs.
 //
 // With -json the measurements are written as a machine-readable perf record
 // (BENCH_cluster_<date>.json by default). With -compare <file> the fresh
@@ -17,18 +27,22 @@
 //
 // Usage:
 //
-//	clusterbench [-workers n] [-seeds k] [-json] [-out file]
+//	clusterbench [-workers n] [-seeds k] [-reps r] [-json] [-out file]
 //	             [-compare BENCH_cluster_baseline.json] [-threshold pct]
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -46,39 +60,52 @@ type record struct {
 	Workers   int     `json:"workers"`
 	Cells     int     `json:"cells"`
 	GroupedCS float64 `json:"grouped_cells_per_sec"`
-	PerCellCS float64 `json:"percell_cells_per_sec"`
+	SingleCS  float64 `json:"groupsize1_cells_per_sec"`
 	Speedup   float64 `json:"speedup"`
 }
 
 // fleet is one disposable in-process cluster: n workers plus a coordinator.
 type fleet struct {
 	coord   *cluster.Coordinator
+	dialer  *http.Transport
 	cleanup []func()
 }
 
 func (f *fleet) close() {
-	f.coord.Close()
+	if f.coord != nil {
+		f.coord.Close()
+	}
+	f.dialer.CloseIdleConnections()
 	for _, fn := range f.cleanup {
 		fn()
 	}
 }
 
-func newFleet(n int, perCell bool) (*fleet, error) {
-	f := &fleet{}
+// newFleet starts n workers at fixed URLs and a coordinator dispatching
+// groups of up to groupSize cells (0 = the coordinator default).
+func newFleet(n, groupSize int) (*fleet, error) {
+	hosts := make(map[string]string, n) // "worker-<i>.clusterbench:80" → listener
 	urls := make([]string, n)
+	f := &fleet{}
 	for i := range urls {
 		svc := service.New(service.Config{Workers: 2, QueueSize: 1024})
 		st := store.New(store.Config{})
 		batches := service.NewBatches(svc, st, service.BatchConfig{})
 		ts := httptest.NewServer(httpapi.NewHandler(svc, st, batches))
-		urls[i] = ts.URL
+		host := fmt.Sprintf("worker-%d.clusterbench", i)
+		hosts[host+":80"] = ts.Listener.Addr().String()
+		urls[i] = "http://" + host
 		f.cleanup = append(f.cleanup, ts.Close, svc.Close)
 	}
+	var d net.Dialer
+	f.dialer = &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		return d.DialContext(ctx, network, hosts[addr])
+	}}
 	coord, err := cluster.New(cluster.Config{
-		Workers:        urls,
-		Window:         4,
-		RequestTimeout: 30 * time.Second,
-		PerCell:        perCell,
+		Workers:    urls,
+		Window:     4,
+		GroupSize:  groupSize,
+		HTTPClient: &http.Client{Transport: f.dialer, Timeout: 30 * time.Second},
 	})
 	if err != nil {
 		f.close()
@@ -88,29 +115,10 @@ func newFleet(n int, perCell bool) (*fleet, error) {
 	return f, nil
 }
 
-// bestOf runs the workload reps times and keeps the fastest run. Throughput
-// here is noisy in exactly one direction — a cell completing just after a
-// poll tick waits out the whole next interval — so the max is the cleanest
-// estimate of what the dispatch path can do, and the one stable enough to
-// gate CI on.
-func bestOf(reps, workers, seeds int, perCell bool) (float64, int, error) {
-	var best float64
-	var cells int
-	for r := 0; r < reps; r++ {
-		cs, n, err := runBatch(workers, seeds, perCell)
-		if err != nil {
-			return 0, 0, err
-		}
-		best = max(best, cs)
-		cells = n
-	}
-	return best, cells, nil
-}
-
 // runBatch executes the benchmark workload — 2 graphs × 2 algorithms × seeds
 // seed-sweep cells — on a fresh fleet and returns cells/sec.
-func runBatch(workers, seeds int, perCell bool) (float64, int, error) {
-	f, err := newFleet(workers, perCell)
+func runBatch(workers, seeds, groupSize int) (float64, int, error) {
+	f, err := newFleet(workers, groupSize)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -164,31 +172,47 @@ func firstError(v service.BatchView) string {
 	return "no cell error"
 }
 
+// median returns the middle value of xs (the mean of the two middle values
+// for an even count).
+func median(xs []float64) float64 {
+	s := slices.Sorted(slices.Values(xs))
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("clusterbench: ")
 	workers := flag.Int("workers", 3, "in-process workers in the fleet")
 	seeds := flag.Int("seeds", 64, "seeds per (graph, algo) axis — cells = 4×seeds")
-	reps := flag.Int("reps", 3, "runs per mode; the fastest is reported")
+	reps := flag.Int("reps", 7, "runs per mode, alternating between the modes; the medians are reported")
 	jsonOut := flag.Bool("json", false, "also write a BENCH_cluster_<date>.json perf record")
 	outPath := flag.String("out", "", "perf record path (default BENCH_cluster_<date>.json; implies -json)")
 	compare := flag.String("compare", "", "previous perf record to diff against; exit 1 on speedup regression beyond -threshold")
 	threshold := flag.Float64("threshold", 20, "allowed speedup regression for -compare, in percent")
 	flag.Parse()
 
-	grouped, cells, err := bestOf(*reps, *workers, *seeds, false)
-	if err != nil {
-		log.Fatalf("grouped run: %v", err)
+	// groupSizes are the two modes: the coordinator default, then one cell
+	// per group.
+	groupSizes := [2]int{0, 1}
+	var runs [2][]float64
+	var cells int
+	for r := 0; r < *reps; r++ {
+		for k := range groupSizes {
+			m := (r + k) % 2 // alternate which mode goes first
+			cs, n, err := runBatch(*workers, *seeds, groupSizes[m])
+			if err != nil {
+				log.Fatalf("run %d, group size %d: %v", r, groupSizes[m], err)
+			}
+			runs[m] = append(runs[m], cs)
+			cells = n
+		}
 	}
-	perCell, _, err := bestOf(*reps, *workers, *seeds, true)
-	if err != nil {
-		log.Fatalf("per-cell run: %v", err)
-	}
-	speedup := grouped / perCell
+	grouped, single := median(runs[0]), median(runs[1])
+	speedup := grouped / single
 
-	fmt.Printf("cells          %d (over %d workers)\n", cells, *workers)
+	fmt.Printf("cells          %d (over %d workers, median of %d runs per mode)\n", cells, *workers, *reps)
 	fmt.Printf("grouped        %.1f cells/sec\n", grouped)
-	fmt.Printf("per-cell       %.1f cells/sec\n", perCell)
+	fmt.Printf("groupsize 1    %.1f cells/sec\n", single)
 	fmt.Printf("speedup        %.2fx\n", speedup)
 
 	rec := record{
@@ -198,7 +222,7 @@ func main() {
 		Workers:   *workers,
 		Cells:     cells,
 		GroupedCS: grouped,
-		PerCellCS: perCell,
+		SingleCS:  single,
 		Speedup:   speedup,
 	}
 	if *jsonOut || *outPath != "" {

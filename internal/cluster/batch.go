@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -16,408 +16,114 @@ import (
 	"repro/internal/service"
 )
 
-// cmember is the coordinator-side state of one batch cell.
-type cmember struct {
-	cell     service.BatchCell
-	jobRef   string // "w<id>:<jobID or groupID>" once dispatched
-	state    service.State
-	cacheHit bool
-	err      string
-	result   *registry.Result
-	// w and jobID name the in-flight dispatch target for cancel fan-out;
-	// group distinguishes a job-group target from a single job.
-	w     *worker
-	jobID string
-	group bool
-}
+// The batch lifecycle — the record, its views and waits, cancel, retention
+// and graph pins — is service.Batches, shared with the single-node engine.
+// This file is the coordinator's side of it: admission, and the dispatcher
+// that runs a batch's cells on the fleet.
 
-// cbatch is one sharded batch.
-type cbatch struct {
-	id string
-	// traceID is the batch's trace root; cell i runs (and is submitted to its
-	// worker) under the child trace "<traceID>.<i>", so one grep over
-	// coordinator and worker logs follows a cell across retries and hosts.
-	traceID string
-	tenant  string
-	timeout time.Duration
-	// ctx is canceled by CancelBatch and Close; every slot wait and poll
-	// select observes it.
-	ctx    context.Context
-	cancel context.CancelFunc
-	graphs map[string]*pinnedGraph
-
-	mu         sync.Mutex
-	cells      []cmember
-	state      service.BatchState
-	cancelReq  bool
-	dispatched int
-	terminal   int
-	done       int
-	failed     int
-	canceled   int
-	cacheHits  int
-	created    time.Time
-	finished   time.Time
-	releases   []func()
-	doneCh     chan struct{}
-	// progress is closed and replaced on every cell-terminal transition so
-	// streaming waiters (WaitCell) wake without polling.
-	progress chan struct{}
-	groups   []service.BatchGroup
-}
-
-// signalProgressLocked wakes streaming waiters after cell-terminal
-// transitions. Must be called with bt.mu held.
-func (bt *cbatch) signalProgressLocked() {
-	if bt.progress != nil {
-		close(bt.progress)
-		bt.progress = make(chan struct{})
-	}
-}
-
-// SubmitBatch validates and launches a sharded batch: the spec expands
-// through the same service.BatchSpec code path as a single-node batch, every
-// referenced graph is pinned in the coordinator's local store, and one
-// dispatch goroutine per cell runs it on the owning worker (gated by that
-// worker's in-flight window). Poll GetBatch or WaitBatch for progress.
+// SubmitBatch validates and launches a sharded batch: the spec expands,
+// validates and pins through the single-node engine's code, and the
+// dispatcher runs its cells on the owning workers. Poll GetBatch or
+// WaitBatch for progress. A draining coordinator refuses with
+// service.ErrDraining.
 func (c *Coordinator) SubmitBatch(spec service.BatchSpec) (service.BatchView, error) {
-	c.mu.Lock()
+	// The check and the registration share one critical section, so every
+	// batch Drain does not refuse is registered before Drain looks.
+	c.admit.RLock()
+	defer c.admit.RUnlock()
 	if c.draining {
-		c.mu.Unlock()
 		return service.BatchView{}, service.ErrDraining
 	}
-	c.mu.Unlock()
-	// Expansion, validation and pinning are the literal single-node code
-	// path, so coordinator and worker accept exactly the same specs. The
-	// pins are what keep retried cells re-placeable after a worker dies.
-	cells, pinned, releases, err := service.PrepareBatch(c.st, spec, c.cfg.MaxCells)
-	if err != nil {
-		return service.BatchView{}, err
-	}
-	graphs := make(map[string]*pinnedGraph, len(pinned))
-	for name, g := range pinned {
-		info, _ := c.st.Get(name)
-		graphs[name] = &pinnedGraph{g: g, fp: info.Fingerprint}
-	}
-
-	trace := spec.TraceID
-	if trace == "" {
-		trace = obs.NewTraceID()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	bt := &cbatch{
-		traceID:  trace,
-		tenant:   spec.Tenant,
-		timeout:  spec.Timeout,
-		ctx:      ctx,
-		cancel:   cancel,
-		graphs:   graphs,
-		cells:    make([]cmember, len(cells)),
-		state:    service.BatchRunning,
-		created:  time.Now(),
-		releases: releases,
-		doneCh:   make(chan struct{}),
-		progress: make(chan struct{}),
-	}
-	for i, cell := range cells {
-		bt.cells[i] = cmember{cell: cell, state: service.Queued}
-	}
-
-	c.mu.Lock()
-	c.nextID++
-	bt.id = fmt.Sprintf("b%06d", c.nextID)
-	c.batches[bt.id] = bt
-	c.mu.Unlock()
-	c.batchesSubmitted.Add(1)
-	c.batchCells.Add(uint64(len(cells)))
-	c.log.Info("batch submitted", "event", "batch_submit",
-		"batch", bt.id, "trace", bt.traceID, "tenant", bt.tenant, "cells", len(cells))
-
-	c.runWG.Add(1)
-	go c.run(bt)
-	return bt.view(), nil
+	return c.b.Submit(spec)
 }
 
-// run dispatches the batch — grouped by default, one job per cell under
-// Config.PerCell — and finalizes it once all cells are terminal. Either way
-// each dispatch unit runs its own goroutine gated by the target worker's
-// window.
-func (c *Coordinator) run(bt *cbatch) {
-	defer c.runWG.Done()
+// GetBatch returns a snapshot of the batch with the given ID.
+func (c *Coordinator) GetBatch(id string) (service.BatchView, bool) { return c.b.Get(id) }
+
+// WaitBatch blocks until the batch is terminal or d has elapsed (d <= 0
+// returns immediately), then returns the current snapshot.
+func (c *Coordinator) WaitBatch(id string, d time.Duration) (service.BatchView, bool) {
+	return c.b.Wait(id, d)
+}
+
+// WaitCell long-polls one cell; see service.Batches.WaitCell.
+func (c *Coordinator) WaitCell(id string, index int, d time.Duration) (service.BatchCellView, bool) {
+	return c.b.WaitCell(id, index, d)
+}
+
+// ListBatches returns a summary snapshot of every retained batch, oldest
+// first.
+func (c *Coordinator) ListBatches() []service.BatchView { return c.b.List() }
+
+// CancelBatch stops a running batch: undispatched cells are dropped, groups
+// in flight on workers are canceled best-effort, finished cells keep their
+// results. Finished batches return service.ErrBatchFinished.
+func (c *Coordinator) CancelBatch(id string) (service.BatchView, error) { return c.b.Cancel(id) }
+
+// Drain stops admission (SubmitBatch returns service.ErrDraining) and waits
+// up to timeout for in-flight batches to finish on their workers. It returns
+// true when every accepted batch reached a terminal state in time; on false
+// the caller should fall through to Close, which cancels the stragglers.
+// Unlike Close it never cancels work: groups already dispatched keep
+// running, so a SIGTERM during a sweep loses no finished results.
+func (c *Coordinator) Drain(timeout time.Duration) bool {
+	c.admit.Lock()
+	c.draining = true
+	c.admit.Unlock()
+	return c.settle(timeout)
+}
+
+// settle waits up to timeout for every retained batch to reach a terminal
+// state and reports whether all did.
+func (c *Coordinator) settle(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for _, v := range c.b.List() {
+		if v.State.Terminal() {
+			continue
+		}
+		if v, ok := c.b.Wait(v.ID, time.Until(deadline)); ok && !v.State.Terminal() {
+			return false
+		}
+	}
+	return true
+}
+
+// dispatcher is the coordinator's service.Executor.
+type dispatcher struct{ *Coordinator }
+
+// Execute packs the batch's cells into job groups and runs each on its own
+// goroutine, gated by the target worker's window; it returns once every
+// group has settled its cells.
+func (d dispatcher) Execute(r *service.BatchRun) bool {
+	graphs := make(map[string]*pinnedGraph, len(r.Graphs))
+	for name, g := range r.Graphs {
+		info, _ := d.st.Get(name) // pinned: the binding cannot change under us
+		graphs[name] = &pinnedGraph{g: g, fp: info.Fingerprint}
+	}
 	var wg sync.WaitGroup
-	if c.cfg.PerCell {
-		wg.Add(len(bt.cells))
-		for i := range bt.cells {
-			go func(i int) {
-				defer wg.Done()
-				c.runCell(bt, i)
-			}(i)
-		}
-	} else {
-		groups := c.groupBatch(bt)
-		wg.Add(len(groups))
-		for _, dg := range groups {
-			go func(dg *dgroup) {
-				defer wg.Done()
-				c.runGroup(bt, dg)
-			}(dg)
-		}
+	for _, dg := range d.groupBatch(r) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.runGroup(r, graphs[dg.graphName], dg)
+		}()
 	}
 	wg.Wait()
+	return true
+}
 
-	bt.mu.Lock()
-	if bt.cancelReq {
-		bt.state = service.BatchCanceled
-		c.batchesCanceled.Add(1)
-	} else {
-		bt.state = service.BatchDone
-		c.batchesDone.Add(1)
+// Cancel is the batch cancel hook: ref names a worker-side job group as
+// "w<i>:<group>", and that group is canceled best-effort.
+func (d dispatcher) Cancel(ref string) {
+	wid, gid, _ := strings.Cut(ref, ":")
+	if i, err := strconv.Atoi(strings.TrimPrefix(wid, "w")); err == nil && i >= 0 && i < len(d.workers) {
+		_, _ = d.workers[i].client.CancelJobGroup(context.Background(), gid)
 	}
-	bt.finished = time.Now()
-	for _, release := range bt.releases {
-		release()
-	}
-	bt.releases = nil
-	close(bt.doneCh)
-	bt.mu.Unlock()
-	bt.cancel() // release the context's timer resources
-
-	c.mu.Lock()
-	c.terminal = append(c.terminal, bt.id)
-	for len(c.terminal) > c.cfg.MaxBatches {
-		delete(c.batches, c.terminal[0])
-		c.terminal = c.terminal[1:]
-	}
-	c.mu.Unlock()
-
-	bt.mu.Lock()
-	c.log.Info("batch finished", "event", "batch_done",
-		"batch", bt.id, "trace", bt.traceID, "tenant", bt.tenant, "state", string(bt.state),
-		"done", bt.done, "failed", bt.failed, "canceled", bt.canceled,
-		"duration", bt.finished.Sub(bt.created))
-	bt.mu.Unlock()
 }
 
 // errWorkerDown reports that a dispatch target was marked down while the
-// cell waited on its window slot — re-place without recording a new failure.
+// group waited on its window slot — re-place without recording a new failure.
 var errWorkerDown = errors.New("cluster: worker went down before dispatch")
-
-// cellOutcome is the application-level result of running a cell on a worker;
-// worker-level failures travel as errors beside it.
-type cellOutcome struct {
-	state    service.State
-	cacheHit bool
-	errMsg   string
-	result   *registry.Result
-}
-
-// runCell places one cell on the ring and runs it, re-placing onto the next
-// healthy worker each time a worker-level failure is observed (transport
-// error, 5xx, hung connection). Application-level failures (the algorithm
-// returned an error on the worker) are terminal: they are deterministic and
-// would fail anywhere.
-func (c *Coordinator) runCell(bt *cbatch, i int) {
-	cell := bt.cells[i].cell
-	pg := bt.graphs[cell.Graph]
-	ctrace := obs.ChildTraceID(bt.traceID, i)
-	// Every retry marks a worker down first, so the attempt budget only
-	// needs to cover the fleet plus a margin for races with revival.
-	maxAttempts := 2 * len(c.workers)
-	var lastErr error
-	for attempts := 0; ; {
-		if bt.ctx.Err() != nil {
-			bt.finishCell(i, cellOutcome{state: service.Canceled})
-			return
-		}
-		w := c.owner(pg.fp)
-		if w == nil {
-			msg := "cluster: no healthy workers"
-			if lastErr != nil {
-				msg = fmt.Sprintf("%s (last worker error: %v)", msg, lastErr)
-			}
-			bt.finishCell(i, cellOutcome{state: service.Failed, errMsg: msg})
-			return
-		}
-		attemptStart := time.Now()
-		out, err := c.runOnWorker(bt, i, w, pg, ctrace)
-		if err == nil {
-			bt.finishCell(i, out)
-			return
-		}
-		if errors.Is(err, errWorkerDown) {
-			// The worker was downed (by another cell or a probe) between
-			// placement and dispatch: nothing new was learned about it, so
-			// just re-place — owner() will skip it now.
-			c.log.Info("cell re-placed", "event", "cell_replace",
-				"batch", bt.id, "trace", ctrace, "worker", w.url)
-			continue
-		}
-		c.markDown(w, err)
-		c.cellRetries.Add(1)
-		lastErr = err
-		c.log.Warn("cell retry", "event", "cell_retry",
-			"batch", bt.id, "trace", ctrace, "worker", w.url,
-			"attempt", attempts+1, "duration", time.Since(attemptStart),
-			"error", err.Error())
-		if attempts++; attempts >= maxAttempts {
-			bt.finishCell(i, cellOutcome{
-				state:  service.Failed,
-				errMsg: fmt.Sprintf("cluster: giving up after %d attempts: %v", attempts, lastErr),
-			})
-			return
-		}
-	}
-}
-
-// runOnWorker executes one cell attempt on w: acquire a window slot, ensure
-// the graph is uploaded, submit the job, poll to terminal. A non-nil error
-// means the worker failed (caller re-places); application outcomes — done,
-// failed, canceled, cache hit — come back in the cellOutcome.
-func (c *Coordinator) runOnWorker(bt *cbatch, i int, w *worker, pg *pinnedGraph, ctrace string) (cellOutcome, error) {
-	select {
-	case w.slots <- struct{}{}:
-	case <-bt.ctx.Done():
-		return cellOutcome{state: service.Canceled}, nil
-	}
-	defer func() { <-w.slots }()
-	// The slot wait can outlive the placement decision: cells queued behind
-	// a worker's window must not pay a request timeout against a worker
-	// that was marked down while they waited.
-	if !w.isHealthy() {
-		return cellOutcome{}, errWorkerDown
-	}
-	w.mu.Lock()
-	w.inFlight++
-	w.dispatched++
-	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		w.inFlight--
-		w.mu.Unlock()
-	}()
-	c.cellsDispatched.Add(1)
-
-	cell := bt.cells[i].cell
-	if err := c.ensureGraph(bt.ctx, w, cell.Graph, pg); err != nil {
-		if bt.ctx.Err() != nil {
-			return cellOutcome{state: service.Canceled}, nil
-		}
-		// Same triage as the submit path: a deterministic 4xx (e.g. an
-		// unrepairable stale binding) fails the cell, it does not indict
-		// the worker; transport errors and 5xx do.
-		var apiErr *httpapi.APIError
-		if errors.As(err, &apiErr) && apiErr.Status < http.StatusInternalServerError {
-			return cellOutcome{
-				state:  service.Failed,
-				errMsg: fmt.Sprintf("cluster: uploading %s to %s: %v", cell.Graph, w.url, err),
-			}, nil
-		}
-		return cellOutcome{}, err
-	}
-
-	req := httpapi.SubmitRequest{
-		Algo:      cell.Algo,
-		GraphName: cell.Graph,
-		Params:    httpapi.ParamsWire(cell.Params),
-		TimeoutMs: bt.timeout.Milliseconds(),
-		TraceID:   ctrace,
-	}
-	var jr httpapi.JobResponse
-	backoff := c.cfg.PollInterval
-	for uploads := 0; ; {
-		var err error
-		jr, err = w.client.SubmitJob(bt.ctx, req)
-		if err == nil {
-			break
-		}
-		if bt.ctx.Err() != nil {
-			return cellOutcome{state: service.Canceled}, nil
-		}
-		var apiErr *httpapi.APIError
-		if !errors.As(err, &apiErr) || apiErr.Status >= http.StatusInternalServerError {
-			// Not our wire format, or a 5xx: queue saturation backs off on
-			// the same worker (exponentially — a saturated queue must not be
-			// hammered at poll cadence), everything else is a worker failure.
-			if isQueueFull(err) {
-				select {
-				case <-time.After(backoff):
-					backoff = min(2*backoff, 250*time.Millisecond)
-					continue
-				case <-bt.ctx.Done():
-					return cellOutcome{state: service.Canceled}, nil
-				}
-			}
-			return cellOutcome{}, err
-		}
-		if apiErr.Status == http.StatusNotFound && uploads < 2 {
-			// The worker evicted our graph between upload and submit
-			// (capacity pressure on its store); re-upload and retry.
-			uploads++
-			w.mu.Lock()
-			delete(w.uploaded, cell.Graph)
-			w.mu.Unlock()
-			if err := c.ensureGraph(bt.ctx, w, cell.Graph, pg); err != nil {
-				if bt.ctx.Err() != nil {
-					return cellOutcome{state: service.Canceled}, nil
-				}
-				return cellOutcome{}, err
-			}
-			continue
-		}
-		// Remaining 4xx are deterministic rejections; the cell fails for good.
-		return cellOutcome{state: service.Failed, errMsg: apiErr.Message}, nil
-	}
-	bt.noteDispatched(i, w, jr.ID)
-	dispatchedAt := time.Now()
-	c.log.Info("cell dispatched", "event", "cell_dispatch",
-		"batch", bt.id, "trace", ctrace, "worker", w.url, "job", jr.ID)
-
-	straggler := false
-	for {
-		if service.State(jr.State).Terminal() {
-			res, err := jr.Result.ToResult()
-			if err != nil {
-				// A result the coordinator cannot decode is deterministic
-				// (version skew, not a flaky worker): retrying it elsewhere
-				// would fail identically and down the whole ring, so the
-				// cell fails terminally like any application failure.
-				return cellOutcome{
-					state:  service.Failed,
-					errMsg: fmt.Sprintf("cluster: worker %s returned a bad result: %v", w.url, err),
-				}, nil
-			}
-			return cellOutcome{
-				state:    service.State(jr.State),
-				cacheHit: jr.CacheHit,
-				errMsg:   jr.Error,
-				result:   res,
-			}, nil
-		}
-		if d := c.cfg.StragglerAfter; d > 0 && !straggler && time.Since(dispatchedAt) > d {
-			// Surfaced once per dispatch so an operator (or a future hedging
-			// policy) can find cells holding a batch's tail latency.
-			straggler = true
-			c.log.Warn("cell straggling", "event", "cell_straggler",
-				"batch", bt.id, "trace", ctrace, "worker", w.url, "job", jr.ID,
-				"running_for", time.Since(dispatchedAt))
-		}
-		select {
-		case <-bt.ctx.Done():
-			_, _ = w.client.CancelJob(context.Background(), jr.ID)
-			return cellOutcome{state: service.Canceled}, nil
-		case <-time.After(c.cfg.PollInterval):
-		}
-		jv, err := w.client.GetJob(bt.ctx, jr.ID)
-		if err != nil {
-			if bt.ctx.Err() != nil {
-				_, _ = w.client.CancelJob(context.Background(), jr.ID)
-				return cellOutcome{state: service.Canceled}, nil
-			}
-			return cellOutcome{}, err
-		}
-		jr = jv
-	}
-}
 
 // isQueueFull matches the worker's 503 queue-saturation rejection, which is
 // retryable on the same worker (unlike every other 5xx). The machine-readable
@@ -443,14 +149,14 @@ type dgroup struct {
 
 // groupBatch partitions a batch's cells into dispatch groups: cells agreeing
 // on graph and on every seed-independent parameter (the same key as
-// service.GroupCells and the worker's result grouping) ride together,
+// the batch's result groups and the worker's result grouping) ride together,
 // chunked at Config.GroupSize so one straggling group cannot serialize an
 // entire seed axis.
-func (c *Coordinator) groupBatch(bt *cbatch) []*dgroup {
+func (c *Coordinator) groupBatch(r *service.BatchRun) []*dgroup {
 	var out []*dgroup
 	open := make(map[string]*dgroup)
-	for i := range bt.cells {
-		cell := bt.cells[i].cell
+	for _, i := range r.Pending {
+		cell := r.Cells[i]
 		p := cell.Params
 		p.Seed = 0
 		key := cell.Graph + "|" + cell.Algo
@@ -469,18 +175,18 @@ func (c *Coordinator) groupBatch(bt *cbatch) []*dgroup {
 	return out
 }
 
-func canceledOutcomes(dg *dgroup) []cellOutcome {
-	outs := make([]cellOutcome, len(dg.idxs))
+func canceledOutcomes(dg *dgroup) []service.CellOutcome {
+	outs := make([]service.CellOutcome, len(dg.idxs))
 	for i := range outs {
-		outs[i] = cellOutcome{state: service.Canceled}
+		outs[i] = service.CellOutcome{State: service.Canceled}
 	}
 	return outs
 }
 
-func failedOutcomes(dg *dgroup, msg string) []cellOutcome {
-	outs := make([]cellOutcome, len(dg.idxs))
+func failedOutcomes(dg *dgroup, msg string) []service.CellOutcome {
+	outs := make([]service.CellOutcome, len(dg.idxs))
 	for i := range outs {
-		outs[i] = cellOutcome{state: service.Failed, errMsg: msg}
+		outs[i] = service.CellOutcome{State: service.Failed, Error: msg}
 	}
 	return outs
 }
@@ -488,28 +194,29 @@ func failedOutcomes(dg *dgroup, msg string) []cellOutcome {
 // gAttempt is the outcome of one worker attempt at a group: either a full
 // per-cell outcome slice, or a worker-level error (caller re-places).
 type gAttempt struct {
-	outs   []cellOutcome
+	outs   []service.CellOutcome
 	err    error
 	w      *worker
 	hedged bool
 }
 
 // runGroup places one dispatch group on the ring and runs it to terminal,
-// re-placing on worker failure exactly like runCell. With Config.Hedge set,
+// re-placing onto the next healthy worker on worker failure (transport
+// error, 5xx, hung connection); application-level failures are per-cell
+// outcomes, deterministic, and would fail anywhere. With Config.Hedge set,
 // a group still running past the straggler threshold is speculatively
 // dispatched a second time to the next distinct healthy worker: the first
 // attempt to come back with outcomes wins, the loser is canceled via the
 // shared attempt context and its (eventual) result discarded. Dispatch is
-// therefore at-least-once; finishCells keeps the merge at-most-once.
-func (c *Coordinator) runGroup(bt *cbatch, dg *dgroup) {
-	pg := bt.graphs[dg.graphName]
+// therefore at-least-once; BatchRun.Finish keeps the merge at-most-once.
+func (c *Coordinator) runGroup(r *service.BatchRun, pg *pinnedGraph, dg *dgroup) {
 	// The group's trace is its first cell's child trace; every cell still
 	// carries its own child ID in the group submission, so per-cell greps
 	// keep working across hosts.
-	gtrace := obs.ChildTraceID(bt.traceID, dg.idxs[0])
+	gtrace := obs.ChildTraceID(r.TraceID, dg.idxs[0])
 	maxAttempts := 2 * len(c.workers)
 
-	attemptCtx, cancelAttempts := context.WithCancel(bt.ctx)
+	attemptCtx, cancelAttempts := context.WithCancel(r.Context())
 	var lwg sync.WaitGroup
 	defer func() {
 		// First result won (or the group gave up): cut any losing attempt
@@ -526,7 +233,7 @@ func (c *Coordinator) runGroup(bt *cbatch, dg *dgroup) {
 		go func() {
 			defer lwg.Done()
 			start := time.Now()
-			outs, err := c.runGroupOnWorker(attemptCtx, bt, dg, w, pg, gtrace, hedged)
+			outs, err := c.runGroupOnWorker(attemptCtx, r, dg, w, pg, gtrace, hedged)
 			if err == nil && attemptCtx.Err() == nil {
 				c.recordGroupDur(time.Since(start))
 			}
@@ -561,11 +268,11 @@ func (c *Coordinator) runGroup(bt *cbatch, dg *dgroup) {
 		} else if lastErr != nil {
 			msg = fmt.Sprintf("%s (last worker error: %v)", msg, lastErr)
 		}
-		bt.finishCells(dg, failedOutcomes(dg, msg))
+		r.Finish(dg.idxs, failedOutcomes(dg, msg))
 	}
 
-	if bt.ctx.Err() != nil {
-		bt.finishCells(dg, canceledOutcomes(dg))
+	if r.Context().Err() != nil {
+		r.Finish(dg.idxs, canceledOutcomes(dg))
 		return
 	}
 	if !place() {
@@ -586,27 +293,27 @@ func (c *Coordinator) runGroup(bt *cbatch, dg *dgroup) {
 				} else if hedged {
 					c.hedgesWasted.Add(1)
 				}
-				bt.finishCells(dg, at.outs)
+				r.Finish(dg.idxs, at.outs)
 				return
 			case errors.Is(at.err, errWorkerDown):
 				// Downed (by another dispatch or a probe) between placement
 				// and dispatch: nothing new learned, just re-place.
 				c.log.Info("group re-placed", "event", "group_replace",
-					"batch", bt.id, "trace", gtrace, "worker", at.w.url)
+					"batch", r.ID, "trace", gtrace, "worker", at.w.url)
 			default:
 				c.markDown(at.w, at.err)
 				c.cellRetries.Add(uint64(len(dg.idxs)))
 				lastErr = at.err
 				attempts++
 				c.log.Warn("group retry", "event", "group_retry",
-					"batch", bt.id, "trace", gtrace, "worker", at.w.url,
+					"batch", r.ID, "trace", gtrace, "worker", at.w.url,
 					"cells", len(dg.idxs), "attempt", attempts, "error", at.err.Error())
 			}
 			if inflight > 0 {
 				continue // the surviving attempt (primary or hedge) may still win
 			}
-			if bt.ctx.Err() != nil {
-				bt.finishCells(dg, canceledOutcomes(dg))
+			if r.Context().Err() != nil {
+				r.Finish(dg.idxs, canceledOutcomes(dg))
 				return
 			}
 			if attempts >= maxAttempts || !place() {
@@ -625,7 +332,7 @@ func (c *Coordinator) runGroup(bt *cbatch, dg *dgroup) {
 			hedged = true
 			c.hedgesFired.Add(1)
 			c.log.Info("group hedged", "event", "group_hedge",
-				"batch", bt.id, "trace", gtrace, "primary", primary.url,
+				"batch", r.ID, "trace", gtrace, "primary", primary.url,
 				"hedge", w2.url, "cells", len(dg.idxs))
 			launch(w2, true)
 			inflight++
@@ -640,7 +347,7 @@ func (c *Coordinator) runGroup(bt *cbatch, dg *dgroup) {
 // per-cell failures and cache hits — come back one per seed. Cancellation of
 // ctx (batch cancel, or losing a hedge race) returns canceled outcomes with
 // a nil error after best-effort canceling the worker-side group.
-func (c *Coordinator) runGroupOnWorker(ctx context.Context, bt *cbatch, dg *dgroup, w *worker, pg *pinnedGraph, gtrace string, hedged bool) ([]cellOutcome, error) {
+func (c *Coordinator) runGroupOnWorker(ctx context.Context, r *service.BatchRun, dg *dgroup, w *worker, pg *pinnedGraph, gtrace string, hedged bool) ([]service.CellOutcome, error) {
 	w.mu.Lock()
 	w.queueDepth++
 	w.mu.Unlock()
@@ -684,7 +391,7 @@ func (c *Coordinator) runGroupOnWorker(ctx context.Context, bt *cbatch, dg *dgro
 
 	traces := make([]string, len(dg.idxs))
 	for k, i := range dg.idxs {
-		traces[k] = obs.ChildTraceID(bt.traceID, i)
+		traces[k] = obs.ChildTraceID(r.TraceID, i)
 	}
 	req := httpapi.JobGroupRequest{
 		Algo:      dg.algo,
@@ -692,7 +399,7 @@ func (c *Coordinator) runGroupOnWorker(ctx context.Context, bt *cbatch, dg *dgro
 		Params:    httpapi.ParamsWire(dg.base),
 		Seeds:     dg.seeds,
 		Traces:    traces,
-		TimeoutMs: bt.timeout.Milliseconds(),
+		TimeoutMs: r.Timeout.Milliseconds(),
 		TraceID:   gtrace,
 	}
 	var gr httpapi.JobGroupResponse
@@ -740,10 +447,10 @@ func (c *Coordinator) runGroupOnWorker(ctx context.Context, bt *cbatch, dg *dgro
 		// be rejected identically anywhere.
 		return failedOutcomes(dg, apiErr.Message), nil
 	}
-	bt.noteGroupDispatched(dg, w, gr.ID)
+	r.Dispatched(dg.idxs, fmt.Sprintf("w%d:%s", w.id, gr.ID))
 	dispatchedAt := time.Now()
 	c.log.Info("group dispatched", "event", "group_dispatch",
-		"batch", bt.id, "trace", gtrace, "worker", w.url, "group", gr.ID,
+		"batch", r.ID, "trace", gtrace, "worker", w.url, "group", gr.ID,
 		"cells", len(dg.idxs), "hedged", hedged)
 
 	straggler := false
@@ -753,7 +460,7 @@ func (c *Coordinator) runGroupOnWorker(ctx context.Context, bt *cbatch, dg *dgro
 			// loop acts on the same threshold.
 			straggler = true
 			c.log.Warn("group straggling", "event", "group_straggler",
-				"batch", bt.id, "trace", gtrace, "worker", w.url, "group", gr.ID,
+				"batch", r.ID, "trace", gtrace, "worker", w.url, "group", gr.ID,
 				"running_for", time.Since(dispatchedAt))
 		}
 		select {
@@ -780,320 +487,22 @@ func (c *Coordinator) runGroupOnWorker(ctx context.Context, bt *cbatch, dg *dgro
 		return failedOutcomes(dg, fmt.Sprintf(
 			"cluster: worker %s returned %d cells for a %d-seed group", w.url, len(gr.Cells), len(dg.idxs))), nil
 	}
-	outs := make([]cellOutcome, len(gr.Cells))
+	outs := make([]service.CellOutcome, len(gr.Cells))
 	for k, cw := range gr.Cells {
 		res, err := cw.Result.ToResult()
 		if err != nil {
-			outs[k] = cellOutcome{state: service.Failed,
-				errMsg: fmt.Sprintf("cluster: worker %s returned a bad result: %v", w.url, err)}
+			// A result the coordinator cannot decode is deterministic
+			// (version skew, not a flaky worker): the cell fails terminally.
+			outs[k] = service.CellOutcome{State: service.Failed,
+				Error: fmt.Sprintf("cluster: worker %s returned a bad result: %v", w.url, err)}
 			continue
 		}
-		outs[k] = cellOutcome{
-			state:    service.State(cw.State),
-			cacheHit: cw.CacheHit,
-			errMsg:   cw.Error,
-			result:   res,
+		outs[k] = service.CellOutcome{
+			State:    service.State(cw.State),
+			CacheHit: cw.CacheHit,
+			Error:    cw.Error,
+			Result:   res,
 		}
 	}
 	return outs, nil
-}
-
-// noteGroupDispatched records where a group's cells are running, for cancel
-// fan-out and the Submitted progress counter. Hedged and retried dispatches
-// re-enter here: only a cell's first dispatch counts toward Submitted (so it
-// never exceeds Total), the latest dispatch owns the cancel target, and
-// cells a racing winner already finished are left untouched.
-func (bt *cbatch) noteGroupDispatched(dg *dgroup, w *worker, groupID string) {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	ref := fmt.Sprintf("w%d:%s", w.id, groupID)
-	for _, i := range dg.idxs {
-		m := &bt.cells[i]
-		if m.state.Terminal() {
-			continue
-		}
-		if m.jobRef == "" {
-			bt.dispatched++
-		}
-		m.w = w
-		m.jobID = groupID
-		m.group = true
-		m.jobRef = ref
-		m.state = service.Running
-	}
-}
-
-// finishCells records a winning attempt's outcomes, idempotently per cell:
-// a cell already terminal (finished by a hedge race's winner, or by an
-// earlier cancellation) is left untouched. This guard is what turns
-// at-least-once dispatch into an at-most-once merge (DESIGN.md §6a).
-func (bt *cbatch) finishCells(dg *dgroup, outs []cellOutcome) {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	for k, i := range dg.idxs {
-		m := &bt.cells[i]
-		if m.state.Terminal() {
-			continue
-		}
-		out := outs[k]
-		m.state = out.state
-		m.cacheHit = out.cacheHit
-		m.err = out.errMsg
-		m.result = out.result
-		m.w = nil
-		bt.terminal++
-		switch out.state {
-		case service.Done:
-			bt.done++
-		case service.Failed:
-			bt.failed++
-		case service.Canceled:
-			bt.canceled++
-		}
-		if out.cacheHit {
-			bt.cacheHits++
-		}
-	}
-	bt.signalProgressLocked()
-}
-
-// noteDispatched records where a cell is running, for cancel fan-out and the
-// Submitted progress counter. Retries re-enter here; only a cell's first
-// dispatch counts toward Submitted, which therefore never exceeds Total —
-// same as the single-node view.
-func (bt *cbatch) noteDispatched(i int, w *worker, jobID string) {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	m := &bt.cells[i]
-	if m.jobRef == "" {
-		bt.dispatched++
-	}
-	m.w = w
-	m.jobID = jobID
-	m.jobRef = fmt.Sprintf("w%d:%s", w.id, jobID)
-	m.state = service.Running
-}
-
-// finishCell records a cell's terminal outcome.
-func (bt *cbatch) finishCell(i int, out cellOutcome) {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	m := &bt.cells[i]
-	m.state = out.state
-	m.cacheHit = out.cacheHit
-	m.err = out.errMsg
-	m.result = out.result
-	m.w = nil
-	bt.terminal++
-	switch out.state {
-	case service.Done:
-		bt.done++
-	case service.Failed:
-		bt.failed++
-	case service.Canceled:
-		bt.canceled++
-	}
-	if out.cacheHit {
-		bt.cacheHits++
-	}
-	bt.signalProgressLocked()
-}
-
-// GetBatch returns a snapshot of the batch with the given ID.
-func (c *Coordinator) GetBatch(id string) (service.BatchView, bool) {
-	c.mu.Lock()
-	bt, ok := c.batches[id]
-	c.mu.Unlock()
-	if !ok {
-		return service.BatchView{}, false
-	}
-	return bt.view(), true
-}
-
-// WaitBatch blocks until the batch is terminal or d has elapsed (d <= 0
-// returns immediately), then returns the current snapshot.
-func (c *Coordinator) WaitBatch(id string, d time.Duration) (service.BatchView, bool) {
-	c.mu.Lock()
-	bt, ok := c.batches[id]
-	c.mu.Unlock()
-	if !ok {
-		return service.BatchView{}, false
-	}
-	if d > 0 {
-		select {
-		case <-bt.doneCh:
-		case <-time.After(d):
-		}
-	}
-	return bt.view(), true
-}
-
-// WaitCell blocks until cell index of batch id is terminal, the whole batch
-// is terminal, or d has elapsed, then returns that cell's snapshot. The
-// second return is false only when the batch or index does not exist. This
-// is the long-poll primitive behind incremental result streaming: the
-// streaming handler walks indices in order, parking here until each settles.
-func (c *Coordinator) WaitCell(id string, index int, d time.Duration) (service.BatchCellView, bool) {
-	c.mu.Lock()
-	bt, ok := c.batches[id]
-	c.mu.Unlock()
-	if !ok {
-		return service.BatchCellView{}, false
-	}
-	deadline := time.Now().Add(d)
-	for {
-		bt.mu.Lock()
-		if index < 0 || index >= len(bt.cells) {
-			bt.mu.Unlock()
-			return service.BatchCellView{}, false
-		}
-		cv := bt.cellViewLocked(index)
-		settled := cv.State.Terminal() || bt.state.Terminal()
-		progress := bt.progress
-		bt.mu.Unlock()
-		remain := time.Until(deadline)
-		if settled || remain <= 0 {
-			return cv, true
-		}
-		timer := time.NewTimer(remain)
-		select {
-		case <-progress:
-		case <-bt.doneCh:
-		case <-timer.C:
-		}
-		timer.Stop()
-	}
-}
-
-// ListBatches returns a summary snapshot of every retained batch, oldest
-// first.
-func (c *Coordinator) ListBatches() []service.BatchView {
-	c.mu.Lock()
-	bts := make([]*cbatch, 0, len(c.batches))
-	for _, bt := range c.batches {
-		bts = append(bts, bt)
-	}
-	c.mu.Unlock()
-	slices.SortFunc(bts, func(x, y *cbatch) int { return strings.Compare(x.id, y.id) })
-	out := make([]service.BatchView, len(bts))
-	for i, bt := range bts {
-		out[i] = bt.summary()
-	}
-	return out
-}
-
-// CancelBatch stops a running batch: undispatched cells are dropped, cells
-// in flight on workers are canceled best-effort, finished cells keep their
-// results. Finished batches return service.ErrBatchFinished.
-func (c *Coordinator) CancelBatch(id string) (service.BatchView, error) {
-	c.mu.Lock()
-	bt, ok := c.batches[id]
-	c.mu.Unlock()
-	if !ok {
-		return service.BatchView{}, service.ErrBatchNotFound
-	}
-	bt.mu.Lock()
-	if bt.state.Terminal() {
-		bt.mu.Unlock()
-		return bt.view(), service.ErrBatchFinished
-	}
-	bt.cancelReq = true
-	type target struct {
-		w     *worker
-		jobID string
-		group bool
-	}
-	var targets []target
-	seen := make(map[string]bool)
-	for i := range bt.cells {
-		m := &bt.cells[i]
-		if m.w == nil || m.state.Terminal() || seen[m.jobRef] {
-			continue
-		}
-		// Grouped cells share one jobRef per dispatched group; cancel each
-		// worker-side group once, not once per member.
-		seen[m.jobRef] = true
-		targets = append(targets, target{m.w, m.jobID, m.group})
-	}
-	bt.mu.Unlock()
-	// Wake every slot wait and poll loop first, then chase down in-flight
-	// worker jobs with no batch lock held.
-	bt.cancel()
-	for _, t := range targets {
-		if t.group {
-			_, _ = t.w.client.CancelJobGroup(context.Background(), t.jobID)
-		} else {
-			_, _ = t.w.client.CancelJob(context.Background(), t.jobID)
-		}
-	}
-	return bt.view(), nil
-}
-
-// summary is view without cell and group detail.
-func (bt *cbatch) summary() service.BatchView {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	return service.BatchView{
-		ID:         bt.id,
-		TraceID:    bt.traceID,
-		Tenant:     bt.tenant,
-		State:      bt.state,
-		Total:      len(bt.cells),
-		Submitted:  bt.dispatched,
-		Done:       bt.done,
-		Failed:     bt.failed,
-		Canceled:   bt.canceled,
-		CacheHits:  bt.cacheHits,
-		CreatedAt:  bt.created,
-		FinishedAt: bt.finished,
-	}
-}
-
-// cellViewLocked snapshots one cell; bt.mu must be held.
-func (bt *cbatch) cellViewLocked(i int) service.BatchCellView {
-	m := &bt.cells[i]
-	return service.BatchCellView{
-		Index:    i,
-		Graph:    m.cell.Graph,
-		Algo:     m.cell.Algo,
-		Params:   m.cell.Params,
-		JobID:    m.jobRef,
-		TraceID:  obs.ChildTraceID(bt.traceID, i),
-		State:    m.state,
-		CacheHit: m.cacheHit,
-		Error:    m.err,
-		Result:   m.result,
-	}
-}
-
-func (bt *cbatch) view() service.BatchView {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	v := service.BatchView{
-		ID:         bt.id,
-		TraceID:    bt.traceID,
-		Tenant:     bt.tenant,
-		State:      bt.state,
-		Total:      len(bt.cells),
-		Submitted:  bt.dispatched,
-		Done:       bt.done,
-		Failed:     bt.failed,
-		Canceled:   bt.canceled,
-		CacheHits:  bt.cacheHits,
-		CreatedAt:  bt.created,
-		FinishedAt: bt.finished,
-		Cells:      make([]service.BatchCellView, len(bt.cells)),
-	}
-	for i := range bt.cells {
-		v.Cells[i] = bt.cellViewLocked(i)
-	}
-	if bt.state.Terminal() {
-		// Cells are immutable once terminal; aggregate once with the same
-		// grouping code as the single-node engine and reuse across polls.
-		if bt.groups == nil {
-			bt.groups = service.GroupCells(v.Cells)
-		}
-		v.Groups = bt.groups
-	}
-	return v
 }

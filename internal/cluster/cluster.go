@@ -3,30 +3,32 @@
 // coordinator keeps the authoritative copy of every named graph in a local
 // internal/store, consistent-hashes graphs onto workers by their
 // registry.Fingerprint (one owner per graph, uploaded once per worker per
-// name, in the compact binary codec), expands BatchSpecs with the same code
-// path as the single-node engine (service.BatchSpec.Expand), packs cells
-// that differ only in seed into job groups of up to Config.GroupSize
-// (amortizing graph lookup, submit, and poll round trips over the whole
-// group — the cluster fast path), dispatches each group to the owning worker
-// over internal/httpapi.Client with a bounded in-flight window per worker,
+// name, in the compact binary codec), packs cells that differ only in seed
+// into job groups of up to Config.GroupSize (amortizing graph lookup,
+// submit, and poll round trips over the whole group — the cluster fast
+// path), dispatches each group to the owning worker over
+// internal/httpapi.Client with a bounded in-flight window per worker,
 // retries groups on worker failure by re-placing onto the next healthy
 // worker along the ring, optionally hedges straggling groups onto a second
-// worker (first result wins, Config.Hedge), and merges per-cell results and
-// per-group aggregates (service.GroupCells) into a single batch view that is
-// indistinguishable from a single-node run.
+// worker (first result wins, Config.Hedge), and reports per-cell results
+// into a batch view that is indistinguishable from a single-node run.
+//
+// The batch lifecycle is the single-node engine's: the coordinator is a
+// service.Executor behind a service.Batches (see batch.go), which owns
+// expansion, validation, graph pins, the batch record, views, waits,
+// cancel, retention and aggregation. Coordinator batches are not journaled.
 //
 // Layer (DESIGN.md §2, §6): cluster sits above internal/httpapi (it is a
-// client of the worker wire format), internal/service (spec expansion, view
-// types) and internal/store; it is served by httpapi.NewClusterHandler and
+// client of the worker wire format), internal/service (the batch engine)
+// and internal/store; it is served by httpapi.NewClusterHandler and
 // mounted by cmd/reprod -workers.
 //
 // Concurrency and ownership: a Coordinator is safe for concurrent use. Each
-// batch runs one goroutine per cell, gated by the owning worker's window
-// semaphore; all cell state is guarded by the batch mutex and all worker
-// state by the worker mutex (lock ordering: batch.mu and worker.mu are
-// leaves — never held together, and never held across an HTTP round trip).
-// Graphs handed out by the local store are shared and strictly read-only,
-// exactly as in the single-node engine.
+// batch runs one goroutine per dispatch group, gated by the owning worker's
+// window semaphore; cell state lives in the service.Batches record, and
+// worker state is guarded by the worker mutex, which is never held across
+// an HTTP round trip. Graphs handed out by the local store are shared and
+// strictly read-only, exactly as in the single-node engine.
 package cluster
 
 import (
@@ -36,6 +38,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -47,6 +50,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/httpapi"
+	"repro/internal/service"
 	"repro/internal/store"
 )
 
@@ -57,7 +61,7 @@ var ErrNoWorkers = errors.New("cluster: no workers configured")
 type Config struct {
 	// Workers lists the base URLs of the reprod workers (required).
 	Workers []string
-	// Window bounds in-flight cells per worker (default 4).
+	// Window bounds in-flight job groups per worker (default 4).
 	Window int
 	// RequestTimeout bounds every worker HTTP round trip, long-polls
 	// included; a hung worker surfaces as a transport error after this long
@@ -75,17 +79,17 @@ type Config struct {
 	MaxGraphs int
 	// WALDir, when non-empty, makes the coordinator's graph store durable:
 	// registrations are journaled and recovered on restart (batch state is
-	// not — the coordinator holds no results of its own; clients resubmit
-	// and the workers' caches and their own WALs make that cheap).
+	// not — clients resubmit, and the workers' caches and their own WALs
+	// make that cheap).
 	WALDir string
 	// SpillDir backs the durable store's graph bytes (defaults to
 	// <WALDir>/spill).
 	SpillDir string
 	// SnapshotEvery compacts the store WAL after this many records.
 	SnapshotEvery int
-	// MaxCells bounds how many cells one batch may expand into (default 4096).
-	MaxCells int
-	// MaxBatches bounds retained finished batches (default 256).
+	// MaxCells and MaxBatches bound the batch engine exactly as
+	// service.BatchConfig's fields of the same name do.
+	MaxCells   int
 	MaxBatches int
 	// Replicas is the number of virtual ring points per worker (default 64).
 	Replicas int
@@ -113,9 +117,6 @@ type Config struct {
 	// GroupSize caps how many same-(graph, algo, params) cells ride in one
 	// dispatched job group (default 16).
 	GroupSize int
-	// PerCell disables grouped dispatch and runs the PR 5 one-job-per-cell
-	// path — the benchmark baseline and an escape hatch.
-	PerCell bool
 }
 
 func (c Config) withDefaults() Config {
@@ -127,12 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 20 * time.Millisecond
-	}
-	if c.MaxCells <= 0 {
-		c.MaxCells = 4096
-	}
-	if c.MaxBatches <= 0 {
-		c.MaxBatches = 256
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 64
@@ -148,8 +143,8 @@ type worker struct {
 	id     int
 	url    string
 	client *httpapi.Client
-	// slots is the in-flight window: a cell holds one slot for the whole of
-	// its dispatch to this worker.
+	// slots is the in-flight window: a dispatched group holds one slot for
+	// the whole of its attempt on this worker.
 	slots chan struct{}
 
 	mu      sync.Mutex
@@ -159,7 +154,7 @@ type worker struct {
 	// revives (a restarted worker has an empty store).
 	uploaded map[string]string
 	// uploading singleflights in-progress uploads per name: concurrent
-	// cells sharing a graph wait on the channel instead of re-shipping the
+	// groups sharing a graph wait on the channel instead of re-shipping the
 	// same bytes.
 	uploading map[string]chan struct{}
 	inFlight  int
@@ -194,20 +189,17 @@ type Coordinator struct {
 	workers []*worker
 	ring    []ringPoint // sorted by hash
 
-	mu       sync.Mutex
-	batches  map[string]*cbatch
-	terminal []string // finished batch IDs, oldest first, for eviction
-	nextID   uint64
-	draining bool // set by Drain: SubmitBatch refuses with ErrDraining
+	b *service.Batches
 
-	runWG     sync.WaitGroup // live batch runners, drained by Close
+	// admit is held shared across SubmitBatch's draining check and batch
+	// registration — shared, so submissions stay concurrent with each other —
+	// and exclusively to set draining (Drain, Close).
+	admit    sync.RWMutex
+	draining bool
+
 	probeStop chan struct{}
 	probeDone chan struct{}
 
-	batchesSubmitted atomic.Uint64
-	batchesDone      atomic.Uint64
-	batchesCanceled  atomic.Uint64
-	batchCells       atomic.Uint64
 	cellsDispatched  atomic.Uint64
 	cellRetries      atomic.Uint64
 	workerFailures   atomic.Uint64
@@ -291,12 +283,10 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: graph store: %w", err)
 	}
-	c := &Coordinator{
-		cfg:     cfg,
-		log:     logger,
-		st:      st,
-		batches: make(map[string]*cbatch),
-	}
+	c := &Coordinator{cfg: cfg, log: logger, st: st}
+	c.b = service.NewBatchesWith(dispatcher{c}, st, service.BatchConfig{
+		MaxCells: cfg.MaxCells, MaxBatches: cfg.MaxBatches, Logger: logger,
+	})
 	seen := make(map[string]bool)
 	for i, raw := range cfg.Workers {
 		u := strings.TrimRight(strings.TrimSpace(raw), "/")
@@ -456,42 +446,19 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-// Drain stops admission (SubmitBatch returns service.ErrDraining) and waits
-// up to timeout for in-flight batches to finish on their workers. It returns
-// true when every batch reached a terminal state in time; on false the
-// caller should fall through to Close, which cancels the stragglers. Unlike
-// Close it never cancels work: cells already dispatched keep running, so a
-// SIGTERM during a sweep loses no finished results.
-func (c *Coordinator) Drain(timeout time.Duration) bool {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		c.runWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
-}
-
-// Close cancels every running batch, waits for their dispatch goroutines to
-// drain, and stops the prober. The coordinator must not be used afterwards.
+// Close refuses new batches, cancels every running one, waits until all are
+// terminal (so no dispatch goroutine outlives it), and stops the prober. The
+// coordinator must not be used afterwards.
 func (c *Coordinator) Close() {
-	c.mu.Lock()
-	ids := make([]string, 0, len(c.batches))
-	for id := range c.batches {
-		ids = append(ids, id)
+	c.admit.Lock()
+	c.draining = true
+	c.admit.Unlock()
+	for _, v := range c.b.List() {
+		if !v.State.Terminal() {
+			_, _ = c.b.Cancel(v.ID)
+		}
 	}
-	c.mu.Unlock()
-	for _, id := range ids {
-		_, _ = c.CancelBatch(id)
-	}
-	c.runWG.Wait()
+	c.settle(math.MaxInt64)
 	if c.probeStop != nil {
 		close(c.probeStop)
 		<-c.probeDone
@@ -570,12 +537,13 @@ func (c *Coordinator) View() httpapi.ClusterView {
 // every worker that answers /metrics. Fleet cache-hit rates are recomputed
 // from the sums; fleet latency percentiles are per-worker maxima.
 func (c *Coordinator) Metrics() httpapi.ClusterMetrics {
+	bm := c.b.Metrics()
 	m := httpapi.ClusterMetrics{
 		WorkersTotal:     len(c.workers),
-		BatchesSubmitted: c.batchesSubmitted.Load(),
-		BatchesDone:      c.batchesDone.Load(),
-		BatchesCanceled:  c.batchesCanceled.Load(),
-		BatchCells:       c.batchCells.Load(),
+		BatchesSubmitted: bm.BatchesSubmitted,
+		BatchesDone:      bm.BatchesDone,
+		BatchesCanceled:  bm.BatchesCanceled,
+		BatchCells:       bm.BatchCells,
 		CellsDispatched:  c.cellsDispatched.Load(),
 		CellRetries:      c.cellRetries.Load(),
 		WorkerFailures:   c.workerFailures.Load(),
@@ -661,7 +629,7 @@ func (p *pinnedGraph) encoded() ([]byte, error) {
 }
 
 // ensureGraph uploads the pinned graph to w under name unless this
-// coordinator already did. Concurrent dispatches sharing the graph
+// coordinator already did. Concurrent groups sharing the graph
 // singleflight: one uploads, the rest wait and re-check — the graph crosses
 // the network once per worker. A stale name binding on the worker (left by a
 // deleted-and-rebound coordinator name) is deleted and re-put once.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -44,7 +45,8 @@ type BatchConfig struct {
 	WALSegmentBytes int64
 	// WALHooks injects crash points into the WAL (testing).
 	WALHooks *wal.TestHooks
-	// Logger, when set, receives wal_replay / batch_resumed events.
+	// Logger receives the batch_submit / batch_done span events and, with
+	// a WALDir, wal_replay / batch_resumed. Nil discards them.
 	Logger *slog.Logger
 }
 
@@ -54,6 +56,9 @@ func (c BatchConfig) withDefaults() BatchConfig {
 	}
 	if c.MaxBatches <= 0 {
 		c.MaxBatches = 256
+	}
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	return c
 }
@@ -211,7 +216,7 @@ type BatchView struct {
 	Tenant     string
 	State      BatchState
 	Total      int
-	Submitted  int // members handed to the job engine so far
+	Submitted  int // cells handed to the executor so far
 	Done       int
 	Failed     int
 	Canceled   int
@@ -222,8 +227,9 @@ type BatchView struct {
 	Groups     []BatchGroup // populated once the batch is terminal
 }
 
+// memberState is the mutable part of one cell's record.
 type memberState struct {
-	cell     BatchCell
+	// jobID is the cell's dispatch reference (see BatchRun.Dispatched).
 	jobID    string
 	state    State
 	cacheHit bool
@@ -237,6 +243,11 @@ type batch struct {
 	tenant  string
 	eng     *Batches
 	timeout time.Duration
+	specs   []BatchCell // the expansion; immutable
+	// ctx is canceled once a cancel is acknowledged, and at the terminal
+	// transition; the executor observes it.
+	ctx  context.Context
+	stop context.CancelFunc
 
 	mu        sync.Mutex
 	cells     []memberState
@@ -246,21 +257,47 @@ type batch struct {
 	// concurrent Cancel whose own commit failed must not roll cancelReq back
 	// past an acked one.
 	cancelAcked bool
-	feedDone    bool
-	submitted   int
-	terminal    int
-	done        int
-	failed      int
-	canceled    int
-	cacheHits   int
-	created     time.Time
-	finished    time.Time
-	releases    []func()
-	doneCh      chan struct{}
+	// executed is set once Execute has returned with every cell settled
+	// or on its way to settling.
+	executed  bool
+	submitted int
+	terminal  int
+	done      int
+	failed    int
+	canceled  int
+	cacheHits int
+	created   time.Time
+	finished  time.Time
+	releases  []func()
+	doneCh    chan struct{}
 	// progress is closed and replaced on every cell-terminal transition so
 	// streaming waiters (WaitCell) wake without polling.
 	progress chan struct{}
 	groups   []BatchGroup // aggregates, computed once after the terminal transition
+}
+
+// newBatch builds the record of a running batch over specs, every cell
+// queued. The caller assigns the ID.
+func (b *Batches) newBatch(trace, tenant string, timeout time.Duration, created time.Time, specs []BatchCell) *batch {
+	ctx, stop := context.WithCancel(context.Background())
+	bt := &batch{
+		eng:      b,
+		traceID:  trace,
+		tenant:   tenant,
+		timeout:  timeout,
+		specs:    specs,
+		ctx:      ctx,
+		stop:     stop,
+		cells:    make([]memberState, len(specs)),
+		state:    BatchRunning,
+		created:  created,
+		doneCh:   make(chan struct{}),
+		progress: make(chan struct{}),
+	}
+	for i := range bt.cells {
+		bt.cells[i].state = Queued
+	}
+	return bt
 }
 
 // signalProgressLocked wakes streaming waiters after a cell's terminal
@@ -272,17 +309,126 @@ func (bt *batch) signalProgressLocked() {
 	}
 }
 
+// settleLocked records cell i's terminal outcome and counts it; a cell that
+// is already terminal is left alone (false). Must be called with bt.mu held.
+func (bt *batch) settleLocked(i int, o CellOutcome) bool {
+	ms := &bt.cells[i]
+	if ms.state.Terminal() {
+		return false
+	}
+	ms.state, ms.cacheHit, ms.err, ms.result = o.State, o.CacheHit, o.Error, o.Result
+	bt.terminal++
+	switch o.State {
+	case Done:
+		bt.done++
+	case Failed:
+		bt.failed++
+	case Canceled:
+		bt.canceled++
+	}
+	if o.CacheHit {
+		bt.cacheHits++
+	}
+	return true
+}
+
+// An Executor runs the cells of a Batches engine's batches. The engine owns
+// the batch record and everything served from it (views, waits, cancel,
+// retention, graph pins and the ledger); the executor only dispatches cells
+// and reports back through the BatchRun. NewBatches runs cells as member
+// jobs on a Service; the cluster coordinator dispatches them to its workers
+// in job groups.
+type Executor interface {
+	// Execute dispatches every pending cell of r, recording each dispatch
+	// with r.Dispatched and each outcome with r.Finish, possibly after
+	// Execute has returned. It returns false when it stopped without
+	// settling every cell (a draining service); the batch then stays
+	// running for a WAL resume.
+	Execute(r *BatchRun) bool
+	// Cancel stops the in-flight dispatch ref, best-effort.
+	Cancel(ref string)
+}
+
+// A BatchRun is a batch as its Executor sees it.
+type BatchRun struct {
+	ID      string
+	TraceID string // cell i runs under obs.ChildTraceID(TraceID, i)
+	Tenant  string
+	Timeout time.Duration // per cell; 0 = the executor's default
+	Cells   []BatchCell   // the expansion; read-only
+	// Graphs maps the graph of every pending cell to its pinned copy; the
+	// entry is nil when a resumed batch found its graph gone from the store.
+	Graphs map[string]*graph.Graph
+	// Pending lists the cells to dispatch in index order: all of them, bar
+	// those a resumed batch restored from the ledger.
+	Pending []int
+	bt      *batch
+}
+
+// Context is canceled when the batch is canceled.
+func (r *BatchRun) Context() context.Context { return r.bt.ctx }
+
+// Dispatched records that cells idxs were handed out under ref, the handle
+// Batches.Cancel passes back to Executor.Cancel: a job ID on a single node,
+// "w<i>:<group>" on a coordinator. A cell's first dispatch counts toward
+// Submitted; a later one (a retry or a hedge) re-points a pending cell and
+// leaves a settled one alone.
+func (r *BatchRun) Dispatched(idxs []int, ref string) {
+	bt := r.bt
+	bt.mu.Lock()
+	defer bt.mu.Unlock()
+	for _, i := range idxs {
+		ms := &bt.cells[i]
+		if ms.jobID == "" {
+			bt.submitted++
+		} else if ms.state.Terminal() {
+			continue
+		}
+		ms.jobID = ref
+		if !ms.state.Terminal() {
+			ms.state = Running
+		}
+	}
+}
+
+// CellOutcome is a cell's terminal state as its executor reports it.
+type CellOutcome struct {
+	State    State
+	CacheHit bool
+	Error    string
+	Result   *registry.Result
+}
+
+// Finish records the outcomes of cells idxs (outs aligned with idxs). Cells
+// already terminal keep their first outcome, so an executor that dispatches
+// a cell more than once still merges at most one result per cell. It only
+// takes batch locks and may be called under the Service mutex.
+func (r *BatchRun) Finish(idxs []int, outs []CellOutcome) {
+	bt := r.bt
+	bt.mu.Lock()
+	defer bt.mu.Unlock()
+	for k, i := range idxs {
+		if bt.settleLocked(i, outs[k]) {
+			bt.journalCellLocked(i)
+		}
+	}
+	bt.signalProgressLocked()
+	bt.eng.finalizeLocked(bt)
+}
+
 // Batches is the batch engine: it expands BatchSpecs over graphs pinned in
-// a store into jobs on an underlying Service, tracks per-batch progress,
-// fans cancellation out to members, and aggregates results per grid cell.
+// a store, hands the cells to its Executor, tracks per-batch progress, fans
+// cancellation out to in-flight dispatches, and aggregates results per grid
+// cell.
 //
-// Lock ordering: the engine only ever takes its own locks after the
-// Service's (job notifications arrive under the Service mutex), and never
-// calls into the Service while holding a batch lock.
+// Lock ordering: Service.mu → batch.mu → Batches.mu. Job notifications
+// arrive under the Service mutex; the engine never calls into its executor
+// while holding a batch lock, and holds Batches.mu only around its own maps.
 type Batches struct {
-	svc *Service
-	st  *store.Store
-	cfg BatchConfig
+	exec Executor
+	st   *store.Store
+	cfg  BatchConfig
+	log  *slog.Logger
 
 	mu       sync.Mutex
 	batches  map[string]*batch
@@ -307,12 +453,21 @@ type BatchMetrics struct {
 	BatchCells       uint64 `json:"batch_cells"`
 }
 
-// NewBatches returns a batch engine over svc and st.
+// NewBatches returns a batch engine that runs cells as jobs on svc over
+// graphs in st.
 func NewBatches(svc *Service, st *store.Store, cfg BatchConfig) *Batches {
+	return NewBatchesWith(jobExecutor{svc}, st, cfg)
+}
+
+// NewBatchesWith returns a batch engine that runs cells with exec over
+// graphs in st. The engine is not journaled; see OpenBatches.
+func NewBatchesWith(exec Executor, st *store.Store, cfg BatchConfig) *Batches {
+	cfg = cfg.withDefaults()
 	return &Batches{
-		svc:     svc,
+		exec:    exec,
 		st:      st,
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
+		log:     cfg.Logger,
 		batches: make(map[string]*batch),
 	}
 }
@@ -327,14 +482,13 @@ func (b *Batches) Metrics() BatchMetrics {
 	}
 }
 
-// PrepareBatch is the shared submission prologue of the single-node engine
-// and the cluster coordinator: expand the spec, bound it by maxCells,
-// validate every cell's algorithm and params up front (so a bad grid fails
-// fast rather than as a pile of failed member jobs), and pin every distinct
-// graph once in st. On success the caller owns the releases — one per
-// distinct graph — and must run them all when the batch ends; on error
+// prepareBatch is the submission prologue: expand the spec, bound it by
+// maxCells, validate every cell's algorithm and params up front (so a bad
+// grid fails fast rather than as a pile of failed cells), and pin every
+// distinct graph once in st. On success the caller owns the releases — one
+// per distinct graph — and must run them all when the batch ends; on error
 // nothing stays pinned.
-func PrepareBatch(st *store.Store, spec BatchSpec, maxCells int) ([]BatchCell, map[string]*graph.Graph, []func(), error) {
+func prepareBatch(st *store.Store, spec BatchSpec, maxCells int) ([]BatchCell, map[string]*graph.Graph, []func(), error) {
 	cells, err := spec.Expand()
 	if err != nil {
 		return nil, nil, nil, err
@@ -375,11 +529,10 @@ func PrepareBatch(st *store.Store, spec BatchSpec, maxCells int) ([]BatchCell, m
 
 // Submit validates and launches a batch: the spec is expanded, every
 // referenced graph is pinned in the store for the batch's lifetime, and the
-// member jobs are fed to the job engine in the background (a full queue
-// slows feeding down instead of failing the batch). The returned view
+// cells are handed to the executor in the background. The returned view
 // reflects the batch at expansion time; poll Get or Wait for progress.
 func (b *Batches) Submit(spec BatchSpec) (BatchView, error) {
-	cells, graphs, releases, err := PrepareBatch(b.st, spec, b.cfg.MaxCells)
+	cells, graphs, releases, err := prepareBatch(b.st, spec, b.cfg.MaxCells)
 	if err != nil {
 		return BatchView{}, err
 	}
@@ -388,21 +541,8 @@ func (b *Batches) Submit(spec BatchSpec) (BatchView, error) {
 	if trace == "" {
 		trace = obs.NewTraceID()
 	}
-	bt := &batch{
-		eng:      b,
-		traceID:  trace,
-		tenant:   spec.Tenant,
-		timeout:  spec.Timeout,
-		cells:    make([]memberState, len(cells)),
-		state:    BatchRunning,
-		created:  time.Now(),
-		releases: releases,
-		doneCh:   make(chan struct{}),
-		progress: make(chan struct{}),
-	}
-	for i, c := range cells {
-		bt.cells[i] = memberState{cell: c, state: Queued}
-	}
+	bt := b.newBatch(trace, spec.Tenant, spec.Timeout, time.Now(), cells)
+	bt.releases = releases
 
 	b.mu.Lock()
 	b.nextID++
@@ -439,152 +579,45 @@ func (b *Batches) Submit(spec BatchSpec) (BatchView, error) {
 	}
 	b.submittedCount.Add(1)
 	b.cellCount.Add(uint64(len(cells)))
+	b.log.Info("batch submitted", "event", "batch_submit",
+		"batch", bt.id, "trace", trace, "tenant", bt.tenant, "cells", len(cells))
 
-	go b.feed(bt, graphs)
+	b.start(bt, graphs)
 	return bt.view(), nil
 }
 
-// markUnsubmitted records a cell the feeder could not hand to the job
-// engine (cancel or shutdown) as terminal itself.
-func (bt *batch) markUnsubmitted(i int, state State, errMsg string) {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	bt.cells[i].state = state
-	bt.cells[i].err = errMsg
-	bt.terminal++
-	if state == Canceled {
-		bt.canceled++
-	} else {
-		bt.failed++
+// start hands the batch's pending cells to the executor on a goroutine of
+// their own. Once Execute returns having settled them, the batch finalizes
+// with its last cell.
+func (b *Batches) start(bt *batch, graphs map[string]*graph.Graph) {
+	r := &BatchRun{
+		ID: bt.id, TraceID: bt.traceID, Tenant: bt.tenant, Timeout: bt.timeout,
+		Cells: bt.specs, Graphs: graphs, bt: bt,
 	}
-	bt.journalCellLocked(i)
-	bt.signalProgressLocked()
-}
-
-// feed hands the batch's cells to the job engine one by one, backing off
-// while the queue is full, and marks cells it can no longer submit (cancel,
-// service shutdown) terminal itself.
-func (b *Batches) feed(bt *batch, graphs map[string]*graph.Graph) {
-	closed := false
+	bt.mu.Lock()
 	for i := range bt.cells {
-		bt.mu.Lock()
-		// A resumed batch restores finished cells from the ledger before the
-		// feeder starts: skip them so they are never re-executed.
-		if bt.cells[i].state.Terminal() {
-			bt.mu.Unlock()
-			continue
-		}
-		cell := bt.cells[i].cell
-		canceled := bt.cancelReq
-		bt.mu.Unlock()
-
-		if closed {
-			bt.markUnsubmitted(i, Failed, ErrClosed.Error())
-			continue
-		}
-		if canceled {
-			bt.markUnsubmitted(i, Canceled, "")
-			continue
-		}
-		if graphs[cell.Graph] == nil {
-			// Resume found the graph gone from the store; the cell fails,
-			// the batch still finishes.
-			bt.markUnsubmitted(i, Failed, fmt.Sprintf("%s: %q", store.ErrNotFound, cell.Graph))
-			continue
-		}
-
-		req := Request{
-			Algo:    cell.Algo,
-			Graph:   graphs[cell.Graph],
-			Params:  cell.Params,
-			Timeout: bt.timeout,
-			TraceID: obs.ChildTraceID(bt.traceID, i),
-			Tenant:  bt.tenant,
-		}
-		i := i
-		var v JobView
-		var err error
-		for {
-			v, err = b.svc.submit(req, true, func(v JobView) { bt.onMemberDone(i, v) })
-			if !errors.Is(err, ErrQueueFull) {
-				break
-			}
-			// Re-check for cancellation while throttled: a saturated queue
-			// must not keep a canceled batch (and its graph pins) alive.
-			bt.mu.Lock()
-			canceled = bt.cancelReq
-			bt.mu.Unlock()
-			if canceled {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		switch {
-		case canceled:
-			bt.markUnsubmitted(i, Canceled, "")
-		case errors.Is(err, ErrDraining):
-			// Graceful drain: stop feeding WITHOUT journaling the remaining
-			// cells terminal — they were never handed to the engine, so the
-			// WAL resume after restart re-feeds them. feedDone stays false,
-			// keeping the batch open for that resume.
-			return
-		case errors.Is(err, ErrClosed):
-			closed = true
-			bt.markUnsubmitted(i, Failed, err.Error())
-		case err != nil: // validation surprises; the cell fails, the batch goes on
-			bt.markUnsubmitted(i, Failed, err.Error())
-		default:
-			bt.mu.Lock()
-			// onMemberDone may already have fired (cache hit): it recorded
-			// state and counters; only the job ID is ours to fill in.
-			bt.cells[i].jobID = v.ID
-			bt.submitted++
-			lateCancel := bt.cancelReq && !bt.cells[i].state.Terminal()
-			bt.mu.Unlock()
-			if lateCancel {
-				// A cancel raced our submission and its fan-out missed this
-				// member; chase it down best-effort.
-				_, _ = b.svc.Cancel(v.ID)
-			}
+		if !bt.cells[i].state.Terminal() {
+			r.Pending = append(r.Pending, i)
 		}
 	}
-	bt.mu.Lock()
-	bt.feedDone = true
-	b.finalizeLocked(bt)
 	bt.mu.Unlock()
-}
-
-// onMemberDone is the job-terminal notification. It runs under the Service
-// mutex and therefore only touches batch state.
-func (bt *batch) onMemberDone(i int, v JobView) {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	ms := &bt.cells[i]
-	ms.state = v.State
-	ms.cacheHit = v.CacheHit
-	ms.err = v.Error
-	ms.result = v.Result
-	bt.terminal++
-	switch v.State {
-	case Done:
-		bt.done++
-	case Failed:
-		bt.failed++
-	case Canceled:
-		bt.canceled++
-	}
-	if v.CacheHit {
-		bt.cacheHits++
-	}
-	bt.journalCellLocked(i)
-	bt.signalProgressLocked()
-	bt.eng.finalizeLocked(bt)
+	go func() {
+		if !b.exec.Execute(r) {
+			return
+		}
+		bt.mu.Lock()
+		bt.executed = true
+		b.finalizeLocked(bt)
+		bt.mu.Unlock()
+	}()
 }
 
 // finalizeLocked transitions the batch to its terminal state once every cell
-// is terminal and feeding has finished. Must be called with bt.mu held.
+// is terminal and the executor has returned, releases its pins, and evicts
+// the oldest finished batches beyond the retention bound. Must be called
+// with bt.mu held.
 func (b *Batches) finalizeLocked(bt *batch) {
-	if bt.state.Terminal() || !bt.feedDone || bt.terminal < len(bt.cells) {
+	if bt.state.Terminal() || !bt.executed || bt.terminal < len(bt.cells) {
 		return
 	}
 	if bt.cancelReq {
@@ -602,23 +635,20 @@ func (b *Batches) finalizeLocked(bt *batch) {
 		release()
 	}
 	bt.releases = nil
+	bt.stop()
 	close(bt.doneCh)
-	b.retireTerminal(bt.id)
-}
-
-// retireTerminal records a finished batch for retention-bound eviction. It
-// must not take b.mu synchronously (callers may hold bt.mu under s.mu), so
-// the eviction runs on its own goroutine.
-func (b *Batches) retireTerminal(id string) {
-	go func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		b.terminal = append(b.terminal, id)
-		for len(b.terminal) > b.cfg.MaxBatches {
-			delete(b.batches, b.terminal[0])
-			b.terminal = b.terminal[1:]
-		}
-	}()
+	b.mu.Lock()
+	b.terminal = append(b.terminal, bt.id)
+	for len(b.terminal) > b.cfg.MaxBatches {
+		delete(b.batches, b.terminal[0])
+		b.terminal = b.terminal[1:]
+	}
+	b.mu.Unlock()
+	// Logged off the lock: finalize can run under the Service mutex.
+	go b.log.Info("batch finished", "event", "batch_done",
+		"batch", bt.id, "trace", bt.traceID, "tenant", bt.tenant, "state", string(bt.state),
+		"done", bt.done, "failed", bt.failed, "canceled", bt.canceled,
+		"duration", bt.finished.Sub(bt.created))
 }
 
 // Get returns a snapshot of the batch with the given ID.
@@ -649,9 +679,9 @@ func (b *Batches) List() []BatchView {
 	return out
 }
 
-// Cancel stops a running batch: members not yet fed to the job engine are
-// dropped, queued and running members are canceled best-effort, and already
-// finished members keep their results. Finished batches return
+// Cancel stops a running batch: cells not yet dispatched are dropped,
+// in-flight dispatches are canceled best-effort through the executor, and
+// already finished cells keep their results. Finished batches return
 // ErrBatchFinished.
 func (b *Batches) Cancel(id string) (BatchView, error) {
 	b.mu.Lock()
@@ -685,25 +715,32 @@ func (b *Batches) Cancel(id string) (BatchView, error) {
 	bt.mu.Lock()
 	bt.cancelReq = true // re-assert past any concurrent failed Cancel's rollback
 	bt.cancelAcked = true
+	// Stop the executor under the lock that Dispatched takes: a dispatch
+	// recorded after this point sees the canceled context and chases its own
+	// ref, every earlier one is collected below.
+	bt.stop()
 	if bt.state.Terminal() {
 		// cancelReq was raised before the first terminal check released bt.mu,
 		// so any terminal transition since then saw the flag and finalized the
-		// batch as canceled — e.g. the feeder reacting before the commit ack.
-		// That is this cancel succeeding, not ErrBatchFinished.
+		// batch as canceled. That is this cancel succeeding, not
+		// ErrBatchFinished.
 		bt.mu.Unlock()
 		return bt.view(), nil
 	}
-	var ids []string
+	var refs []string
+	seen := make(map[string]bool)
 	for i := range bt.cells {
-		if ms := &bt.cells[i]; ms.jobID != "" && !ms.state.Terminal() {
-			ids = append(ids, ms.jobID)
+		// Grouped cells share one ref per dispatch: cancel each once.
+		if ms := &bt.cells[i]; ms.jobID != "" && !ms.state.Terminal() && !seen[ms.jobID] {
+			seen[ms.jobID] = true
+			refs = append(refs, ms.jobID)
 		}
 	}
 	bt.mu.Unlock()
 	// Fan out with no batch lock held: each member's terminal notification
-	// arrives under the Service mutex and re-takes bt.mu.
-	for _, jobID := range ids {
-		_, _ = b.svc.Cancel(jobID)
+	// re-takes bt.mu.
+	for _, ref := range refs {
+		b.exec.Cancel(ref)
 	}
 	return bt.view(), nil
 }
@@ -816,7 +853,7 @@ func (bt *batch) view() BatchView {
 		// and reuse across polls (computed lazily here, not in
 		// finalizeLocked, which can run under the Service mutex).
 		if bt.groups == nil {
-			bt.groups = GroupCells(v.Cells)
+			bt.groups = groupCells(v.Cells)
 		}
 		v.Groups = bt.groups
 	}
@@ -825,13 +862,13 @@ func (bt *batch) view() BatchView {
 
 // cellViewLocked snapshots one member. Must be called with bt.mu held.
 func (bt *batch) cellViewLocked(i int) BatchCellView {
-	ms := &bt.cells[i]
+	ms, c := &bt.cells[i], bt.specs[i]
 	return BatchCellView{
 		Index:    i,
 		TraceID:  obs.ChildTraceID(bt.traceID, i),
-		Graph:    ms.cell.Graph,
-		Algo:     ms.cell.Algo,
-		Params:   ms.cell.Params,
+		Graph:    c.Graph,
+		Algo:     c.Algo,
+		Params:   c.Params,
 		JobID:    ms.jobID,
 		State:    ms.state,
 		CacheHit: ms.cacheHit,
@@ -840,11 +877,10 @@ func (bt *batch) cellViewLocked(i int) BatchCellView {
 	}
 }
 
-// GroupCells aggregates terminal cells by (graph, algo, params modulo seed),
+// groupCells aggregates terminal cells by (graph, algo, params modulo seed),
 // in first-seen order, summarizing rounds, weight and solution size over the
-// done members of each group. The cluster coordinator reuses it so merged
-// multi-worker batches aggregate exactly like single-node ones.
-func GroupCells(cells []BatchCellView) []BatchGroup {
+// done members of each group.
+func groupCells(cells []BatchCellView) []BatchGroup {
 	type acc struct {
 		group                          *BatchGroup
 		rounds, weight, size, messages []float64
@@ -902,4 +938,78 @@ func groupKey(c BatchCellView) string {
 		return c.Graph + "|" + spec.CacheKey(p)
 	}
 	return fmt.Sprintf("%s|%s|%+v", c.Graph, c.Algo, p)
+}
+
+// jobExecutor is the single-node Executor: each cell becomes a member job
+// on the Service, and a cell's dispatch ref is its job ID.
+type jobExecutor struct{ svc *Service }
+
+func (e jobExecutor) Cancel(ref string) { _, _ = e.svc.Cancel(ref) }
+
+// Execute feeds the pending cells to the job engine one by one, backing off
+// while the queue is full, and settles the cells it can no longer submit
+// (cancel, shutdown) itself. A draining service stops the feed without
+// settling the rest: they were never handed to the engine, so the WAL resume
+// after restart re-feeds them.
+func (e jobExecutor) Execute(r *BatchRun) bool {
+	ctx := r.Context()
+	closed := false
+	for _, i := range r.Pending {
+		cell := r.Cells[i]
+		out := CellOutcome{State: Failed}
+		switch g := r.Graphs[cell.Graph]; {
+		case closed:
+			out.Error = ErrClosed.Error()
+		case ctx.Err() != nil:
+			out.State = Canceled
+		case g == nil:
+			// Resume found the graph gone from the store; the cell fails,
+			// the batch still finishes.
+			out.Error = fmt.Sprintf("%s: %q", store.ErrNotFound, cell.Graph)
+		default:
+			v, err := e.submit(r, i, Request{
+				Algo:    cell.Algo,
+				Graph:   g,
+				Params:  cell.Params,
+				Timeout: r.Timeout,
+				TraceID: obs.ChildTraceID(r.TraceID, i),
+				Tenant:  r.Tenant,
+			})
+			switch {
+			case err == nil:
+				r.Dispatched([]int{i}, v.ID)
+				if ctx.Err() != nil {
+					// A cancel raced the submission and its fan-out missed
+					// this job; chase it down.
+					_, _ = e.svc.Cancel(v.ID)
+				}
+				continue
+			case errors.Is(err, ErrDraining):
+				return false
+			case ctx.Err() != nil:
+				out.State = Canceled
+			default: // shutdown or a validation surprise; the batch goes on
+				closed = errors.Is(err, ErrClosed)
+				out.Error = err.Error()
+			}
+		}
+		r.Finish([]int{i}, []CellOutcome{out})
+	}
+	return true
+}
+
+// submit hands cell i to the job engine, retrying while the queue is full
+// unless the batch is canceled meanwhile: a saturated queue must not keep a
+// canceled batch (and its graph pins) alive.
+func (e jobExecutor) submit(r *BatchRun, i int, req Request) (JobView, error) {
+	notify := func(v JobView) {
+		r.Finish([]int{i}, []CellOutcome{{State: v.State, CacheHit: v.CacheHit, Error: v.Error, Result: v.Result}})
+	}
+	for {
+		v, err := e.svc.submit(req, true, notify)
+		if !errors.Is(err, ErrQueueFull) || r.Context().Err() != nil {
+			return v, err
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }

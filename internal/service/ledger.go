@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -112,7 +111,6 @@ type ledgerReq struct {
 type ledger struct {
 	log    *wal.Log
 	every  int
-	logger *slog.Logger
 	ch     chan ledgerReq
 	quit   chan struct{}
 	done   chan struct{}
@@ -188,8 +186,8 @@ func (ld *ledger) run(b *Batches) {
 			ack <- err
 		}
 		if ld.every > 0 && ld.log.RecordsSinceSnapshot() >= uint64(ld.every) {
-			if err := ld.snapshot(b); err != nil && !errors.Is(err, wal.ErrCrashed) && ld.logger != nil {
-				ld.logger.Warn("wal_snapshot_failed", "component", "batches", "err", err)
+			if err := ld.snapshot(b); err != nil && !errors.Is(err, wal.ErrCrashed) {
+				b.log.Warn("wal_snapshot_failed", "component", "batches", "err", err)
 			}
 		}
 	}
@@ -265,10 +263,9 @@ func (bt *batch) snapshotRec() batchSnapshot {
 		CancelReq: bt.cancelReq,
 		Finished:  bt.finished,
 	}
-	for i := range bt.cells {
-		ms := &bt.cells[i]
-		rec.Submit.Cells[i] = cellSpecRec{Graph: ms.cell.Graph, Algo: ms.cell.Algo, Params: ms.cell.Params}
-		if ms.state.Terminal() {
+	for i, c := range bt.specs {
+		rec.Submit.Cells[i] = cellSpecRec{Graph: c.Graph, Algo: c.Algo, Params: c.Params}
+		if ms := &bt.cells[i]; ms.state.Terminal() {
 			rec.Done = append(rec.Done, cellPayload{
 				Batch: bt.id, Index: i, State: ms.state, JobID: ms.jobID,
 				CacheHit: ms.cacheHit, Err: ms.err, Result: ms.result,
@@ -330,12 +327,11 @@ func OpenBatches(svc *Service, st *store.Store, cfg BatchConfig) (*Batches, erro
 		return nil, err
 	}
 	b.ledger = &ledger{
-		log:    l,
-		every:  cfg.SnapshotEvery,
-		logger: cfg.Logger,
-		ch:     make(chan ledgerReq, 1024),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
+		log:   l,
+		every: cfg.SnapshotEvery,
+		ch:    make(chan ledgerReq, 1024),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 
 	if rec.Snapshot != nil {
@@ -391,8 +387,8 @@ func OpenBatches(svc *Service, st *store.Store, cfg BatchConfig) (*Batches, erro
 			// Newer engine version's record: skip.
 		}
 	}
-	if cfg.Logger != nil && (len(b.batches) > 0 || rec.TornTail) {
-		cfg.Logger.Info("wal_replay",
+	if len(b.batches) > 0 || rec.TornTail {
+		b.log.Info("wal_replay",
 			"component", "batches",
 			"batches", len(b.batches),
 			"records", len(rec.Records),
@@ -402,13 +398,13 @@ func OpenBatches(svc *Service, st *store.Store, cfg BatchConfig) (*Batches, erro
 	}
 
 	// Resume: everything above ran single-threaded; from here on the resumed
-	// feeders and the writer goroutine own the concurrency.
+	// executors and the writer goroutine own the concurrency.
 	for _, bt := range b.batches {
 		if bt.state.Terminal() {
 			b.terminal = append(b.terminal, bt.id)
 			continue
 		}
-		b.resume(bt, cfg.Logger)
+		b.resume(bt)
 	}
 	go b.ledger.run(b)
 	return b, nil
@@ -423,21 +419,12 @@ func (b *Batches) replaySubmit(p submitPayload) *batch {
 	if bt, ok := b.batches[p.ID]; ok {
 		return bt
 	}
-	bt := &batch{
-		id:       p.ID,
-		eng:      b,
-		traceID:  p.TraceID,
-		tenant:   p.Tenant,
-		timeout:  time.Duration(p.TimeoutNS),
-		cells:    make([]memberState, len(p.Cells)),
-		state:    BatchRunning,
-		created:  p.Created,
-		doneCh:   make(chan struct{}),
-		progress: make(chan struct{}),
-	}
+	specs := make([]BatchCell, len(p.Cells))
 	for i, c := range p.Cells {
-		bt.cells[i] = memberState{cell: BatchCell{Graph: c.Graph, Algo: c.Algo, Params: c.Params}, state: Queued}
+		specs[i] = BatchCell{Graph: c.Graph, Algo: c.Algo, Params: c.Params}
 	}
+	bt := b.newBatch(p.TraceID, p.Tenant, time.Duration(p.TimeoutNS), p.Created, specs)
+	bt.id = p.ID
 	b.batches[p.ID] = bt
 	if n, err := strconv.ParseUint(p.ID[1:], 10, 64); err == nil && n > b.nextID {
 		b.nextID = n
@@ -449,32 +436,13 @@ func (b *Batches) replaySubmit(p submitPayload) *batch {
 
 // replayCell restores one terminal member; idempotent on duplicates.
 func replayCell(bt *batch, p cellPayload) {
-	if p.Index < 0 || p.Index >= len(bt.cells) || !p.State.Terminal() {
+	if p.Index < 0 || p.Index >= len(bt.cells) || !p.State.Terminal() ||
+		!bt.settleLocked(p.Index, CellOutcome{State: p.State, CacheHit: p.CacheHit, Error: p.Err, Result: p.Result}) {
 		return
 	}
-	ms := &bt.cells[p.Index]
-	if ms.state.Terminal() {
-		return
-	}
-	ms.state = p.State
-	ms.jobID = p.JobID
-	ms.cacheHit = p.CacheHit
-	ms.err = p.Err
-	ms.result = p.Result
-	bt.terminal++
+	bt.cells[p.Index].jobID = p.JobID
 	if p.JobID != "" {
 		bt.submitted++
-	}
-	switch p.State {
-	case Done:
-		bt.done++
-	case Failed:
-		bt.failed++
-	case Canceled:
-		bt.canceled++
-	}
-	if p.CacheHit {
-		bt.cacheHits++
 	}
 	bt.eng.ledger.cellsRestored.Add(1)
 }
@@ -488,49 +456,45 @@ func replayTerminal(bt *batch, p terminalPayload) {
 	}
 	bt.state = p.State
 	bt.finished = p.Finished
+	bt.stop()
 	close(bt.doneCh)
 }
 
 // resume re-pins the graphs an incomplete batch still needs and restarts its
-// feeder. Cells whose graph is gone from the store fail at feed time.
-func (b *Batches) resume(bt *batch, logger *slog.Logger) {
+// executor. Cells whose graph is gone from the store fail at dispatch time.
+func (b *Batches) resume(bt *batch) {
 	graphs := make(map[string]*graph.Graph)
 	pending := 0
-	for i := range bt.cells {
-		ms := &bt.cells[i]
-		if ms.state.Terminal() {
+	for i, c := range bt.specs {
+		if bt.cells[i].state.Terminal() {
 			continue
 		}
 		pending++
-		if _, ok := graphs[ms.cell.Graph]; ok {
+		if _, ok := graphs[c.Graph]; ok {
 			continue
 		}
-		g, release, err := b.st.Acquire(ms.cell.Graph)
+		g, release, err := b.st.Acquire(c.Graph)
 		if err != nil {
-			if logger != nil {
-				logger.Warn("batch_resume_graph_missing", "batch", bt.id, "graph", ms.cell.Graph, "err", err)
-			}
-			graphs[ms.cell.Graph] = nil
+			b.log.Warn("batch_resume_graph_missing", "batch", bt.id, "graph", c.Graph, "err", err)
+			graphs[c.Graph] = nil
 			continue
 		}
-		graphs[ms.cell.Graph] = g
+		graphs[c.Graph] = g
 		bt.releases = append(bt.releases, release)
 	}
-	if logger != nil {
-		logger.Info("batch_resumed",
-			"batch", bt.id,
-			"trace", bt.traceID,
-			"restored", bt.terminal,
-			"pending", pending)
-	}
+	b.log.Info("batch_resumed",
+		"batch", bt.id,
+		"trace", bt.traceID,
+		"restored", bt.terminal,
+		"pending", pending)
 	b.submittedCount.Add(1)
-	go b.feed(bt, graphs)
+	b.start(bt, graphs)
 }
 
 // Close drains the ledger writer, writes a final snapshot and closes the
-// WAL. Engines built without a WALDir close trivially. In-flight feeders may
-// still enqueue afterwards; those records land in the next boot's re-run of
-// the affected cells.
+// WAL. Engines built without a WALDir close trivially. In-flight executors
+// may still enqueue afterwards; those records land in the next boot's
+// re-run of the affected cells.
 func (b *Batches) Close() error {
 	ld := b.ledger
 	if ld == nil {

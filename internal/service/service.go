@@ -22,7 +22,7 @@
 // many jobs is fine and is exactly what the batch layer does with stored
 // graphs). Results handed out in JobViews/BatchViews are shared with the
 // result cache and must be treated as immutable. Lock ordering is
-// Service.mu → batch.mu → (store/engine locks); see Batches.
+// Service.mu → batch.mu → (Batches.mu, store locks); see Batches.
 package service
 
 import (
@@ -237,6 +237,9 @@ func (s *Service) markTerminal(jb *job) {
 	}
 	if jb.notify != nil {
 		jb.notify(jb.view())
+		// Fired: drop it, and with it the batch run and the pinned graphs
+		// it references, which the retained job must not keep alive.
+		jb.notify = nil
 	}
 }
 

@@ -3,8 +3,7 @@
 // an ordered list of runs, executed by uploading every run's graph to the
 // server's named store (fingerprint-deduplicated), submitting one batch of
 // explicit cells, streaming its results as they settle (resuming from the
-// last received cell on dropped connections — see CollectTerminal for the
-// legacy long-poll path), and emitting one row per cell.
+// last received cell on dropped connections), and emitting one row per cell.
 //
 // The package is shared by cmd/sweep (which renders the CSV to stdout) and
 // the internal/cluster tests (which assert that a multi-worker coordinator
@@ -140,9 +139,9 @@ const collectRetries = 5
 // Submit used — only the same logical server (or its restarted incarnation,
 // which recovers the batch and the graphs from its WAL).
 //
-// The rows Collect emits are byte-identical to CollectTerminal's: the
-// stream replays every settled cell in index order with the same rendering
-// as the terminal GET.
+// The rows Collect emits are byte-identical to those rendered from the
+// terminal GET of the finished batch: the stream replays every settled cell
+// in index order with the same rendering.
 func (s *Submission) Collect(ctx context.Context, c *httpapi.Client) (err error) {
 	defer func() {
 		if cerr := s.cleanup(ctx, c); cerr != nil && err == nil {
@@ -186,34 +185,6 @@ func (s *Submission) Collect(ctx context.Context, c *httpapi.Client) (err error)
 		}
 	}
 	for i, cell := range cells {
-		s.plan.runs[i].emit(s.plan.table, cell.Result)
-	}
-	return nil
-}
-
-// CollectTerminal is the pre-streaming collection path: long-poll the batch
-// until it is terminal and emit every row from the final GET. It is kept as
-// the reference for the streamed-equals-terminal acceptance tests and for
-// clients behind proxies that buffer streaming responses.
-func (s *Submission) CollectTerminal(ctx context.Context, c *httpapi.Client) (err error) {
-	defer func() {
-		if cerr := s.cleanup(ctx, c); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	fin, err := c.WaitBatch(ctx, s.BatchID, 10*time.Minute)
-	if err != nil {
-		return err
-	}
-	if fin.Done != fin.Total {
-		for _, cell := range fin.Cells {
-			if cell.State != "done" {
-				return fmt.Errorf("cell %d (%s on %s): %s: %s",
-					cell.Index, cell.Algo, cell.Graph, cell.State, cell.Error)
-			}
-		}
-	}
-	for i, cell := range fin.Cells {
 		s.plan.runs[i].emit(s.plan.table, cell.Result)
 	}
 	return nil
