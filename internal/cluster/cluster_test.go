@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -170,16 +171,20 @@ func TestWorkerKilledMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Let the batch make some progress, then kill the worker owning the
-	// first graph while its cells are still being dispatched.
+	// Kill the worker owning the first graph while its cells are still
+	// being dispatched: once a kill-a cell is out on a worker and not yet
+	// terminal, its group must come back from the dead worker or be
+	// re-placed.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		cur, _ := coord.GetBatch(v.ID)
-		if cur.Done >= 1 {
+		if slices.ContainsFunc(cur.Cells, func(c service.BatchCellView) bool {
+			return c.Graph == "kill-a" && c.JobID != "" && !c.State.Terminal()
+		}) {
 			break
 		}
 		if cur.State.Terminal() || time.Now().After(deadline) {
-			t.Fatalf("batch reached %+v before any cell completed", cur)
+			t.Fatalf("batch reached %+v before a kill-a cell was in flight", cur)
 		}
 		time.Sleep(time.Millisecond)
 	}

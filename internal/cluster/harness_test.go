@@ -30,7 +30,8 @@ const (
 	// faultHang never answers: the request parks until the client times out
 	// (the handler returns when the client abandons the connection).
 	faultHang
-	// faultSlow delays every request by the proxy's delay, then serves it.
+	// faultSlow delays every request by the proxy's delay, then serves it
+	// unless the worker was killed meanwhile.
 	faultSlow
 )
 
@@ -75,6 +76,12 @@ func (p *faultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case <-p.unblock:
 			return
 		case <-time.After(p.delay):
+		}
+		if p.mode.Load() == faultKill {
+			// Killed while this request waited: a dead worker answers
+			// nothing, however long ago the request arrived.
+			http.Error(w, "fault injector: worker killed", http.StatusBadGateway)
+			return
 		}
 	}
 	p.innerMu.RLock()

@@ -8,11 +8,8 @@ import (
 // CompressedAdjacency is a delta-varint rendering of the CSR neighbor array:
 // each node's strictly-ascending neighbor segment is stored as
 // uvarint(first), then uvarint(gap-1) per successor. Sparse real-world
-// graphs compress to 1–2 bytes per arc against the raw 4, which matters in
-// two places: the RGD1 on-disk format's compressed mode (fewer pages to
-// fault in) and the engine's memory-bound CompressedNeighbors mode, where
-// per-step decoding trades CPU for never touching the raw 4-byte-per-arc
-// array at all.
+// graphs compress to 1–2 bytes per arc against the raw 4, which the RGD1
+// on-disk format's compressed mode uses to leave fewer pages to fault in.
 //
 // A CompressedAdjacency is immutable after construction and safe for
 // concurrent readers; decoding writes only into the caller's scratch buffer.

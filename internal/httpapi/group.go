@@ -15,7 +15,9 @@ import (
 // (DESIGN.md §6a): POST /v1/jobgroups runs one algorithm over N seeds
 // against a single stored-graph lookup, and GET /v1/jobgroups/{id}
 // content-negotiates between JSON and the compact binary result stream in
-// bincodec.go (Accept: application/x-repro-jobgroup). The cluster
+// bincodec.go (Accept: application/x-repro-jobgroup). The seeds run as
+// member jobs behind the same fair queue as POST /v1/jobs, so a group the
+// tenant's queue cannot take answers 503 queue_full. The cluster
 // coordinator is the primary client; curl with JSON works the same way.
 
 // JobGroupRequest is the POST /v1/jobgroups body. Groups always run against
@@ -159,17 +161,14 @@ func handleSubmitGroup(cfg *handlerConfig, svc *service.Service, st *store.Store
 		TraceID: trace,
 		Tenant:  t.ID,
 	})
-	switch {
-	case errors.Is(err, service.ErrDraining):
-		writeErrCode(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
-	case errors.Is(err, service.ErrClosed):
-		writeErr(w, http.StatusServiceUnavailable, err.Error())
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, err.Error())
-	default:
-		w.Header().Set(TraceHeader, v.TraceID)
-		writeGroup(w, r, http.StatusAccepted, toGroupResponse(v))
+	// A group larger than the tenant's queue bound could never be admitted:
+	// the service reports it as a plain error, a 400 here, so the
+	// coordinator fails its cells instead of backing off forever.
+	if writeSubmitErr(w, err) {
+		return
 	}
+	w.Header().Set(TraceHeader, v.TraceID)
+	writeGroup(w, r, http.StatusAccepted, toGroupResponse(v))
 }
 
 // writeGroup writes a group response in the representation the request's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -108,11 +109,10 @@ func TestJobGroupLifecycleHTTP(t *testing.T) {
 	wantStatus(t, err, http.StatusNotFound)
 }
 
-// TestJobGroupCancelHTTP cancels a group waiting on the group semaphore
-// behind a long-running group and checks the whole victim lands canceled.
-// Groups do not ride the job queue, so the blocker must itself be a group;
-// its cells park on a channel barrier until the victim's cancel is asserted,
-// so no graph sizing against the runner's speed is involved.
+// TestJobGroupCancelHTTP cancels a group queued behind a long-running group
+// and checks the whole victim lands canceled. The blocker group's cells park
+// on a channel barrier until the victim's cancel is asserted, so no graph
+// sizing against the runner's speed is involved.
 func TestJobGroupCancelHTTP(t *testing.T) {
 	ts, _, _ := newFullServer(t, service.Config{Workers: 1}, service.BatchConfig{})
 	started, release := registerBlocker(t, "park-group")
@@ -284,5 +284,52 @@ func TestBinaryGraphUploadParity(t *testing.T) {
 	}
 	if gv := pollGroup(t, c, sub.ID); gv.State != "done" {
 		t.Fatalf("group over binary-registered graph: %s", gv.State)
+	}
+}
+
+// TestJobGroupAdmissionHTTP: group seeds are admitted through the job
+// queue, so a group the queue cannot take answers 503 queue_full (which
+// the coordinator backs off on) and one larger than the queue bound, which
+// could never be admitted, answers 400.
+func TestJobGroupAdmissionHTTP(t *testing.T) {
+	ts, _, _ := newFullServer(t, service.Config{Workers: 1, QueueSize: 1}, service.BatchConfig{})
+	started, release := registerBlocker(t, "park-group-admit")
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+
+	for i, name := range []string{"a", "b", "gg"} {
+		if _, err := c.PutGraphGen(ctx, name, GenRequest{Gen: "gnp", N: 24, P: 0.2, Seed: uint64(i + 1), MaxW: 16}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Park the worker on a, then fill the one queue slot with b.
+	if _, err := c.SubmitJobGroup(ctx, JobGroupRequest{Algo: "park-group-admit", GraphName: "a", Seeds: []uint64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := c.SubmitJobGroup(ctx, JobGroupRequest{Algo: "park-group-admit", GraphName: "b", Seeds: []uint64{1}}); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err := c.SubmitJobGroup(ctx, JobGroupRequest{Algo: "maxis", GraphName: "gg", Seeds: []uint64{1}})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != CodeQueueFull {
+		t.Fatalf("group against a full queue: %v, want 503 %s", err, CodeQueueFull)
+	}
+	_, err = c.SubmitJobGroup(ctx, JobGroupRequest{Algo: "maxis", GraphName: "gg", Seeds: []uint64{1, 2}})
+	wantStatus(t, err, http.StatusBadRequest)
+
+	release()
+	sub, err := c.SubmitJobGroup(ctx, JobGroupRequest{Algo: "maxis", GraphName: "gg", Seeds: []uint64{1}})
+	for err != nil {
+		// The queue slot frees once the parked cells drain.
+		if !errors.As(err, &apiErr) || apiErr.Code != CodeQueueFull {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+		sub, err = c.SubmitJobGroup(ctx, JobGroupRequest{Algo: "maxis", GraphName: "gg", Seeds: []uint64{1}})
+	}
+	if gv := pollGroup(t, c, sub.ID); gv.State != "done" {
+		t.Fatalf("group after the queue drained: %s", gv.State)
 	}
 }

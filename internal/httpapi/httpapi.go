@@ -672,7 +672,19 @@ func handleSubmit(cfg *handlerConfig, svc *service.Service, st *store.Store, w h
 		TraceID: trace,
 		Tenant:  t.ID,
 	})
+	if writeSubmitErr(w, err) {
+		return
+	}
+	w.Header().Set(TraceHeader, v.TraceID)
+	writeJSON(w, http.StatusAccepted, toJobResponse(v))
+}
+
+// writeSubmitErr writes the error envelope for a refused job or job-group
+// submission and reports whether err was non-nil.
+func writeSubmitErr(w http.ResponseWriter, err error) bool {
 	switch {
+	case err == nil:
+		return false
 	case errors.Is(err, service.ErrQueueFull):
 		// The code lets clients (the cluster coordinator) distinguish queue
 		// saturation — retryable on this server — from other 5xx without
@@ -684,12 +696,10 @@ func handleSubmit(cfg *handlerConfig, svc *service.Service, st *store.Store, w h
 		writeErrCode(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
 	case errors.Is(err, service.ErrClosed):
 		writeErr(w, http.StatusServiceUnavailable, err.Error())
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, err.Error())
 	default:
-		w.Header().Set(TraceHeader, v.TraceID)
-		writeJSON(w, http.StatusAccepted, toJobResponse(v))
+		writeErr(w, http.StatusBadRequest, err.Error())
 	}
+	return true
 }
 
 // streamReadOptions are the ingestion bounds every streamed graph upload

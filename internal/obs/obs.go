@@ -13,33 +13,16 @@
 // and per-node memo fields that already exist for the round loop) and never
 // call into obs during a round. obs only *summarizes*: a RoundTrace is built
 // once per run from the engine's final counters, and histograms are observed
-// once per job completion under the service mutex. The Enabled switch
-// therefore gates attachment and exposition, not counting — counting is O(1)
-// per round and branch-free, which is what keeps telemetry-on and
-// telemetry-off runs bit-identical.
+// once per job completion under the service mutex. Counting is O(1) per round
+// and branch-free, and the summary is built after the run, so observing a
+// run cannot change its outputs.
 package obs
 
 import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"sync/atomic"
 )
-
-// enabled gates RoundTrace attachment to results. Default on. Stored
-// inverted (0 = on) so the zero value of the package is "enabled".
-var disabled atomic.Bool
-
-// Enabled reports whether telemetry summaries are attached to results.
-func Enabled() bool { return !disabled.Load() }
-
-// SetEnabled switches telemetry attachment on or off and returns the
-// previous setting, so tests can toggle and restore:
-//
-//	defer obs.SetEnabled(obs.SetEnabled(false))
-func SetEnabled(on bool) (prev bool) {
-	return !disabled.Swap(!on)
-}
 
 // RoundTrace summarizes one engine run for results and batch aggregates: how
 // many rounds it took, how many messages and payload bits moved in total and

@@ -5,25 +5,6 @@ import (
 	"testing"
 )
 
-func TestSetEnabledRoundTrip(t *testing.T) {
-	if !Enabled() {
-		t.Fatal("telemetry attachment must default to enabled")
-	}
-	prev := SetEnabled(false)
-	if !prev {
-		t.Fatal("SetEnabled(false) should report the previous enabled state")
-	}
-	if Enabled() {
-		t.Fatal("Enabled() should be false after SetEnabled(false)")
-	}
-	if prev := SetEnabled(true); prev {
-		t.Fatal("SetEnabled(true) should report the previous disabled state")
-	}
-	if !Enabled() {
-		t.Fatal("Enabled() should be true after SetEnabled(true)")
-	}
-}
-
 func TestRoundTraceAdd(t *testing.T) {
 	a := RoundTrace{Rounds: 3, VirtualRounds: 5, Messages: 100, Bits: 800,
 		PeakRoundMessages: 40, PeakRoundBits: 320, PeakActive: 7,

@@ -82,12 +82,10 @@ type Params struct {
 	Model simul.Model
 	// Seed fixes all randomness; equal seeds reproduce runs exactly.
 	Seed uint64
-	// MaxRounds, BitsFactor, Parallel and CompressedNeighbors pass through
-	// to simul.Config.
-	MaxRounds           int
-	BitsFactor          int
-	Parallel            bool
-	CompressedNeighbors bool
+	// MaxRounds, BitsFactor and Parallel pass through to simul.Config.
+	MaxRounds  int
+	BitsFactor int
+	Parallel   bool
 	// DeterministicColoring switches Algorithm 3 to the Linial reduction.
 	DeterministicColoring bool
 }
@@ -135,7 +133,7 @@ func (s *Spec) CacheKey(p Params) string {
 			fmt.Fprintf(&b, ",det=%t", p.DeterministicColoring)
 		}
 	}
-	fmt.Fprintf(&b, ",maxr=%d,bits=%d,par=%t,cn=%t", p.MaxRounds, p.BitsFactor, p.Parallel, p.CompressedNeighbors)
+	fmt.Fprintf(&b, ",maxr=%d,bits=%d,par=%t", p.MaxRounds, p.BitsFactor, p.Parallel)
 	return b.String()
 }
 
@@ -181,12 +179,11 @@ func (p Params) validate() error {
 
 func (p Params) simConfig() simul.Config {
 	return simul.Config{
-		Model:               p.Model,
-		Seed:                p.Seed,
-		MaxRounds:           p.MaxRounds,
-		BitsFactor:          p.BitsFactor,
-		Parallel:            p.Parallel,
-		CompressedNeighbors: p.CompressedNeighbors,
+		Model:      p.Model,
+		Seed:       p.Seed,
+		MaxRounds:  p.MaxRounds,
+		BitsFactor: p.BitsFactor,
+		Parallel:   p.Parallel,
 	}
 }
 
@@ -249,22 +246,18 @@ type Result struct {
 	Weight    int64
 	Uncovered int
 	Cost      Cost
-	// Trace is the run's telemetry summary, attached to every live run
-	// while obs.Enabled() (nil otherwise, and nil on results deserialized
-	// from peers that ran with telemetry off). The engines count
-	// unconditionally; this field only gates what is *reported*, so
-	// toggling it cannot perturb an execution.
+	// Trace is the run's telemetry summary, attached to every live run (nil
+	// on results deserialized from a peer that sent none). The engines
+	// count unconditionally and the summary is built after the run, so it
+	// cannot perturb an execution.
 	Trace *obs.RoundTrace
 }
 
-// traceOf assembles the RoundTrace for an engine-backed result, nil when
-// telemetry attachment is disabled. Rounds is floored at 1: a completed run
-// executed at least one (possibly communication-free) round in LOCAL-model
-// terms, so downstream consumers can rely on rounds > 0.
+// traceOf assembles the RoundTrace for an engine-backed result. Rounds is
+// floored at 1: a completed run executed at least one (possibly
+// communication-free) round in LOCAL-model terms, so downstream consumers
+// can rely on rounds > 0.
 func traceOf(virtual int, m simul.Metrics, memo agg.MemoStats) *obs.RoundTrace {
-	if !obs.Enabled() {
-		return nil
-	}
 	rounds := m.Rounds
 	if rounds < 1 {
 		rounds = 1
@@ -312,9 +305,9 @@ type Spec struct {
 func (s *Spec) Validate(p Params) error { return p.Normalized().validate() }
 
 // Run executes the algorithm on g with normalized params. Every successful
-// live run carries a Trace while telemetry is enabled: engine-backed specs
-// attach rich traces themselves; this wrapper backfills the rest (sequential
-// and non-simulated algorithms) from the Cost summary.
+// live run carries a Trace: engine-backed specs attach rich traces
+// themselves; this wrapper backfills the rest (sequential and non-simulated
+// algorithms) from the Cost summary.
 func (s *Spec) Run(g *graph.Graph, p Params) (*Result, error) {
 	p = p.Normalized()
 	if err := p.validate(); err != nil {
@@ -324,7 +317,7 @@ func (s *Spec) Run(g *graph.Graph, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res.Trace == nil && obs.Enabled() {
+	if res.Trace == nil {
 		rounds := res.Cost.RealRounds
 		if rounds < 1 {
 			rounds = 1 // a completed sequential run counts as one LOCAL round

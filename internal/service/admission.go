@@ -92,32 +92,40 @@ func (fq *fairQueue) limitsFor(tenant string) TenantLimits {
 	return fq.limits(tenant)
 }
 
-// push admits jb to its tenant's FIFO. It returns ErrQueueFull when the
-// tenant's backlog bound is reached and ErrClosed after close/abort.
-func (fq *fairQueue) push(jb *job) error {
+// push admits jbs, which share a tenant, to that tenant's FIFO, all or
+// none. It returns ErrQueueFull when they do not all fit under the tenant's
+// backlog bound and ErrClosed after close/abort.
+func (fq *fairQueue) push(jbs ...*job) error {
+	if len(jbs) == 0 {
+		return nil
+	}
+	tenant := jbs[0].tenant
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
 	if fq.closed || fq.aborted {
 		return ErrClosed
 	}
-	lim := fq.limitsFor(jb.tenant)
-	bound := lim.QueueSize
-	if bound <= 0 {
-		bound = fq.defaultQueue
-	}
-	t := fq.tenants[jb.tenant]
+	t := fq.tenants[tenant]
 	if t == nil {
 		t = &tenantQueue{}
-		fq.tenants[jb.tenant] = t
-		fq.order = append(fq.order, jb.tenant)
+		fq.tenants[tenant] = t
+		fq.order = append(fq.order, tenant)
 	}
-	if t.size() >= bound {
+	if t.size()+len(jbs) > fq.bound(tenant) {
 		return ErrQueueFull
 	}
-	t.jobs = append(t.jobs, jb)
-	fq.total++
+	t.jobs = append(t.jobs, jbs...)
+	fq.total += len(jbs)
 	fq.cond.Broadcast()
 	return nil
+}
+
+// bound is the tenant's backlog bound.
+func (fq *fairQueue) bound(tenant string) int {
+	if b := fq.limitsFor(tenant).QueueSize; b > 0 {
+		return b
+	}
+	return fq.defaultQueue
 }
 
 // pop blocks until a job is dispatchable and returns it, or returns false

@@ -456,7 +456,7 @@ type BatchMetrics struct {
 // NewBatches returns a batch engine that runs cells as jobs on svc over
 // graphs in st.
 func NewBatches(svc *Service, st *store.Store, cfg BatchConfig) *Batches {
-	return NewBatchesWith(jobExecutor{svc}, st, cfg)
+	return NewBatchesWith(jobExecutor{svc, st}, st, cfg)
 }
 
 // NewBatchesWith returns a batch engine that runs cells with exec over
@@ -942,7 +942,10 @@ func groupKey(c BatchCellView) string {
 
 // jobExecutor is the single-node Executor: each cell becomes a member job
 // on the Service, and a cell's dispatch ref is its job ID.
-type jobExecutor struct{ svc *Service }
+type jobExecutor struct {
+	svc *Service
+	st  *store.Store
+}
 
 func (e jobExecutor) Cancel(ref string) { _, _ = e.svc.Cancel(ref) }
 
@@ -954,6 +957,13 @@ func (e jobExecutor) Cancel(ref string) { _, _ = e.svc.Cancel(ref) }
 func (e jobExecutor) Execute(r *BatchRun) bool {
 	ctx := r.Context()
 	closed := false
+	// The store hashed every graph when it was put: read its fingerprint
+	// rather than hashing the graph again for every cell.
+	fps := make(map[string]string, len(r.Graphs))
+	for name := range r.Graphs {
+		info, _ := e.st.Get(name) // pinned: the binding cannot change under us
+		fps[name] = info.Fingerprint
+	}
 	for _, i := range r.Pending {
 		cell := r.Cells[i]
 		out := CellOutcome{State: Failed}
@@ -967,7 +977,7 @@ func (e jobExecutor) Execute(r *BatchRun) bool {
 			// the batch still finishes.
 			out.Error = fmt.Sprintf("%s: %q", store.ErrNotFound, cell.Graph)
 		default:
-			v, err := e.submit(r, i, Request{
+			v, err := e.submit(r, i, fps[cell.Graph], Request{
 				Algo:    cell.Algo,
 				Graph:   g,
 				Params:  cell.Params,
@@ -1001,12 +1011,12 @@ func (e jobExecutor) Execute(r *BatchRun) bool {
 // submit hands cell i to the job engine, retrying while the queue is full
 // unless the batch is canceled meanwhile: a saturated queue must not keep a
 // canceled batch (and its graph pins) alive.
-func (e jobExecutor) submit(r *BatchRun, i int, req Request) (JobView, error) {
+func (e jobExecutor) submit(r *BatchRun, i int, fp string, req Request) (JobView, error) {
 	notify := func(v JobView) {
 		r.Finish([]int{i}, []CellOutcome{{State: v.State, CacheHit: v.CacheHit, Error: v.Error, Result: v.Result}})
 	}
 	for {
-		v, err := e.svc.submit(req, true, notify)
+		v, err := e.svc.submit(req, fp, notify)
 		if !errors.Is(err, ErrQueueFull) || r.Context().Err() != nil {
 			return v, err
 		}

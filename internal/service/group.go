@@ -1,9 +1,9 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -11,19 +11,21 @@ import (
 	"repro/internal/registry"
 )
 
-// This file is the worker-side grouped execution path behind POST
-// /v1/jobgroups (DESIGN.md §6a): one submission runs a whole seed-axis group
-// — same graph, same algorithm and parameters, N seeds — against a single
-// graph lookup, paying the per-job wire and bookkeeping overhead once
-// instead of N times. Groups execute on their own goroutine, gated by a
-// semaphore sized like the worker pool so grouped and per-cell load contend
-// for the same engine parallelism, and the seeds inside a group run
-// sequentially (the coordinator provides cross-group parallelism).
+// This file is the worker-side grouped submission behind POST /v1/jobgroups
+// (DESIGN.md §6a): one submission runs a whole seed-axis group — same graph,
+// same algorithm and parameters, N seeds — against a single graph lookup and
+// fingerprint, paying the per-job wire and bookkeeping overhead once instead
+// of N times. A group is a set of member jobs: its seeds are admitted all or
+// none through the step Submit uses, then run on the shared worker pool
+// under the tenant's fair-queue limits like any other job. Members have no
+// job ID and never enter the job map; each leaves only its GroupCellView on
+// the group when it finishes.
 //
 // Accounting contract: every seed flows through the same counters a
-// batch-member job would (submitted, batch_members, batch cache hits/misses,
-// completed/failed/canceled, engine telemetry, latency) so fleet-level
-// metric sums are identical whether cells arrive grouped or one at a time.
+// batch-member job does (submitted, batch_members, batch cache hits/misses,
+// completed/failed/canceled, engine telemetry, latency, the tenant's row) so
+// fleet-level metric sums are identical whether cells arrive grouped or one
+// at a time.
 
 // MaxGroupSeeds bounds the seeds one group may carry; the HTTP layer
 // surfaces violations as 400s.
@@ -51,10 +53,9 @@ type GroupRequest struct {
 	Timeout time.Duration
 	// TraceID identifies the group; empty means the service generates one.
 	TraceID string
-	// Tenant is the submitting tenant's ID ("" = anonymous), recorded for
-	// visibility scoping at the HTTP layer. Groups execute on the group
-	// semaphore, not the fair-share queue: they are the coordinator-to-
-	// worker fast path, already shaped by the coordinator's own admission.
+	// Tenant is the submitting tenant's ID ("" = anonymous). It selects the
+	// fair-share lane every seed is admitted to, as for Request.Tenant, and
+	// scopes visibility at the HTTP layer.
 	Tenant string
 }
 
@@ -83,47 +84,29 @@ type GroupView struct {
 	FinishedAt  time.Time
 }
 
-type groupCell struct {
-	seed     uint64
-	traceID  string
-	state    State
-	cacheHit bool
-	err      string
-	result   *registry.Result
-}
-
 type group struct {
 	id      string
 	traceID string
 	tenant  string
-	spec    *registry.Spec
-	g       *graph.Graph
-	fp      string
+	algo    string
 	params  registry.Params
-	timeout time.Duration
 
-	state     State
-	cells     []groupCell
+	state State
+	cells []GroupCellView
+	// members[i] is cell i's job until it is terminal, then nil.
+	members   []*job
 	done      int // terminal cells
 	canceled  bool
 	submitted time.Time
 	finished  time.Time
-	ctx       context.Context
-	cancel    context.CancelFunc
 }
 
-// SubmitGroup validates and starts a job group. Unlike Submit there is no
-// queue-full rejection: the group occupies one goroutine immediately and
-// waits its turn on the group semaphore, which is what bounds concurrent
-// grouped engine work.
+// SubmitGroup validates the group, fingerprints its graph once and admits
+// every seed as a member job, all or none: a tenant queue that cannot take
+// the group's cache misses refuses it with ErrQueueFull, and a group with
+// more seeds than the tenant's queue bound, which could never be admitted,
+// is an error of its own.
 func (s *Service) SubmitGroup(req GroupRequest) (GroupView, error) {
-	spec, ok := registry.Get(req.Algo)
-	if !ok {
-		return GroupView{}, fmt.Errorf("service: unknown algorithm %q", req.Algo)
-	}
-	if req.Graph == nil {
-		return GroupView{}, errors.New("service: nil graph")
-	}
 	if len(req.Seeds) == 0 {
 		return GroupView{}, errors.New("service: job group has no seeds")
 	}
@@ -133,56 +116,80 @@ func (s *Service) SubmitGroup(req GroupRequest) (GroupView, error) {
 	if len(req.Traces) != 0 && len(req.Traces) != len(req.Seeds) {
 		return GroupView{}, fmt.Errorf("service: %d traces for %d seeds", len(req.Traces), len(req.Seeds))
 	}
-	params := req.Params.Normalized()
-	if err := spec.Validate(params); err != nil {
-		return GroupView{}, err
-	}
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	fp := registry.Fingerprint(req.Graph)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return GroupView{}, ErrDraining
-	}
-	if s.closed {
-		return GroupView{}, ErrClosed
-	}
-	s.nextGroupID++
 	trace := req.TraceID
 	if trace == "" {
 		trace = obs.NewTraceID()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	gr := &group{
-		id:        fmt.Sprintf("g%08d", s.nextGroupID),
-		traceID:   trace,
-		tenant:    req.Tenant,
-		spec:      spec,
-		g:         req.Graph,
-		fp:        fp,
-		params:    params,
-		timeout:   timeout,
-		state:     Queued,
-		cells:     make([]groupCell, len(req.Seeds)),
-		submitted: time.Now(),
-		ctx:       ctx,
-		cancel:    cancel,
+	base, err := s.newJob(Request{Algo: req.Algo, Graph: req.Graph, Params: req.Params,
+		Timeout: req.Timeout, TraceID: trace, Tenant: req.Tenant})
+	if err != nil {
+		return GroupView{}, err
 	}
+	if bound := s.queue.bound(req.Tenant); len(req.Seeds) > bound {
+		return GroupView{}, fmt.Errorf("service: job group has %d seeds, tenant queue bound %d", len(req.Seeds), bound)
+	}
+	gr := &group{
+		traceID: trace,
+		tenant:  req.Tenant,
+		algo:    base.spec.Name,
+		params:  base.params,
+		state:   Queued,
+		cells:   make([]GroupCellView, len(req.Seeds)),
+		members: make([]*job, len(req.Seeds)),
+	}
+	fp := registry.Fingerprint(req.Graph)
 	for i, seed := range req.Seeds {
 		cellTrace := obs.ChildTraceID(trace, i)
 		if len(req.Traces) != 0 {
 			cellTrace = req.Traces[i]
 		}
-		gr.cells[i] = groupCell{seed: seed, traceID: cellTrace, state: Queued}
+		gr.cells[i] = GroupCellView{Seed: seed, TraceID: cellTrace, State: Queued}
+		jb := *base
+		jb.params.Seed = seed
+		jb.cacheKey = fp + "|" + jb.spec.CacheKey(jb.params)
+		jb.traceID = cellTrace
+		jb.fromBatch = true
+		jb.grp, jb.cell = gr, i
+		gr.members[i] = &jb
 	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextGroupID++
+	gr.id = fmt.Sprintf("g%08d", s.nextGroupID)
+	gr.submitted = time.Now()
+	// Registered before admission: cache hits settle during it, and the
+	// last one finalizes the group into the retention ring.
 	s.groups[gr.id] = gr
-	s.groupWG.Add(1)
-	go s.runGroup(gr)
+	if err := s.admitLocked(gr.members); err != nil {
+		delete(s.groups, gr.id)
+		return GroupView{}, err
+	}
 	return gr.view(), nil
+}
+
+// settleMemberLocked records member jb's terminal outcome on its group and
+// finalizes the group with its last cell. Must be called with s.mu held.
+func (s *Service) settleMemberLocked(jb *job) {
+	gr := jb.grp
+	c := &gr.cells[jb.cell]
+	c.State, c.CacheHit, c.Error, c.Result = jb.state, jb.cacheHit, jb.err, jb.result
+	gr.members[jb.cell] = nil
+	gr.done++
+	if gr.done < len(gr.cells) {
+		return
+	}
+	gr.members = nil
+	gr.state = Done
+	if gr.canceled {
+		gr.state = Canceled
+	}
+	gr.finished = time.Now()
+	s.terminalGroups = append(s.terminalGroups, gr.id)
+	for len(s.terminalGroups) > s.cfg.MaxJobs {
+		delete(s.groups, s.terminalGroups[0])
+		s.terminalGroups = s.terminalGroups[1:]
+	}
 }
 
 // GetGroup returns a snapshot of the group with the given ID.
@@ -196,9 +203,10 @@ func (s *Service) GetGroup(id string) (GroupView, bool) {
 	return gr.view(), true
 }
 
-// CancelGroup stops a queued or running group: the in-flight seed is
-// abandoned and every not-yet-terminal cell transitions to Canceled.
-// Finished groups return ErrFinished.
+// CancelGroup stops a queued or running group: queued seeds transition to
+// Canceled at once, running ones are abandoned like canceled jobs, and the
+// group lands Canceled with its last cell. Finished groups return
+// ErrFinished.
 func (s *Service) CancelGroup(id string) (GroupView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,173 +218,27 @@ func (s *Service) CancelGroup(id string) (GroupView, error) {
 		return gr.view(), ErrFinished
 	}
 	gr.canceled = true
-	gr.cancel()
+	for _, jb := range gr.members {
+		if jb != nil {
+			s.cancelLocked(jb)
+		}
+	}
 	return gr.view(), nil
-}
-
-// runGroup owns one group's lifecycle: wait for an engine slot, run the
-// seeds in order, finalize. All state transitions happen under s.mu.
-func (s *Service) runGroup(gr *group) {
-	defer s.groupWG.Done()
-	defer gr.cancel()
-	select {
-	case s.groupSem <- struct{}{}:
-		defer func() { <-s.groupSem }()
-	case <-gr.ctx.Done():
-	}
-
-	s.mu.Lock()
-	if !gr.canceled {
-		gr.state = Running
-	}
-	s.mu.Unlock()
-
-	for i := range gr.cells {
-		s.runGroupCell(gr, i)
-	}
-
-	s.mu.Lock()
-	gr.g = nil
-	if gr.canceled {
-		gr.state = Canceled
-	} else {
-		gr.state = Done
-	}
-	gr.finished = time.Now()
-	s.terminalGroups = append(s.terminalGroups, gr.id)
-	for len(s.terminalGroups) > s.cfg.MaxJobs {
-		delete(s.groups, s.terminalGroups[0])
-		s.terminalGroups = s.terminalGroups[1:]
-	}
-	s.mu.Unlock()
-}
-
-// runGroupCell executes one seed with the same cache, telemetry and
-// abandon-on-timeout semantics as runJob.
-func (s *Service) runGroupCell(gr *group, i int) {
-	cell := &gr.cells[i]
-	params := gr.params
-	params.Seed = cell.seed
-	key := gr.fp + "|" + gr.spec.CacheKey(params)
-
-	s.mu.Lock()
-	s.met.submitted++
-	s.met.batchMembers++
-	if gr.canceled {
-		cell.state = Canceled
-		gr.done++
-		s.met.canceled++
-		s.mu.Unlock()
-		return
-	}
-	if res, hit := s.cache.get(key); hit {
-		cell.state = Done
-		cell.cacheHit = true
-		cell.result = res
-		gr.done++
-		s.met.batchCacheHits++
-		s.met.completed++
-		s.mu.Unlock()
-		return
-	}
-	s.met.batchCacheMisses++
-	cell.state = Running
-	s.running++
-	g, spec := gr.g, gr.spec
-	s.mu.Unlock()
-
-	ctx, cancel := context.WithTimeout(gr.ctx, gr.timeout)
-	defer cancel()
-	started := time.Now()
-
-	type outcome struct {
-		res *registry.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	// Same abandon-and-drain contract as runJob: the algorithms are
-	// synchronous, so cancellation flips the cell's state immediately while
-	// this goroutine is drained before the next seed starts — a canceled
-	// group never leaves a computation running behind its terminal state.
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{err: fmt.Errorf("service: algorithm panicked: %v", r)}
-			}
-		}()
-		res, err := spec.Run(g, params)
-		ch <- outcome{res: res, err: err}
-	}()
-
-	finish := func(out outcome) {
-		s.mu.Lock()
-		s.running--
-		if out.err != nil {
-			cell.state = Failed
-			cell.err = out.err.Error()
-			s.met.failed++
-		} else {
-			cell.state = Done
-			cell.result = out.res
-			s.cache.put(key, out.res)
-			s.met.completed++
-			s.met.recordEngine(traceOf(out.res))
-			s.met.recordLatency(time.Since(started))
-		}
-		gr.done++
-		s.mu.Unlock()
-	}
-
-	select {
-	case out := <-ch:
-		finish(out)
-	case <-ctx.Done():
-		select {
-		case out := <-ch:
-			finish(out)
-			return
-		default:
-		}
-		s.mu.Lock()
-		s.running--
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			cell.state = Failed
-			cell.err = fmt.Sprintf("service: job exceeded its %s timeout", gr.timeout)
-			s.met.failed++
-		} else {
-			cell.state = Canceled
-			s.met.canceled++
-		}
-		gr.done++
-		s.mu.Unlock()
-		<-ch // drain the abandoned computation
-	}
 }
 
 // view must be called with s.mu held.
 func (gr *group) view() GroupView {
-	v := GroupView{
+	return GroupView{
 		ID:          gr.id,
 		TraceID:     gr.traceID,
 		Tenant:      gr.tenant,
-		Algo:        gr.spec.Name,
+		Algo:        gr.algo,
 		Params:      gr.params,
 		State:       gr.state,
 		Total:       len(gr.cells),
 		Done:        gr.done,
-		Cells:       make([]GroupCellView, len(gr.cells)),
+		Cells:       slices.Clone(gr.cells),
 		SubmittedAt: gr.submitted,
 		FinishedAt:  gr.finished,
 	}
-	for i, c := range gr.cells {
-		v.Cells[i] = GroupCellView{
-			Seed:     c.seed,
-			TraceID:  c.traceID,
-			State:    c.state,
-			CacheHit: c.cacheHit,
-			Error:    c.err,
-			Result:   c.result,
-		}
-	}
-	return v
 }

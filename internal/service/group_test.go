@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -224,5 +225,132 @@ func TestGroupValidation(t *testing.T) {
 	}
 	if _, err := s.CancelGroup("g99999999"); !errors.Is(err, ErrGroupNotFound) {
 		t.Fatalf("cancel of unknown group: %v, want ErrGroupNotFound", err)
+	}
+}
+
+// parked registers a blocker algorithm and returns its started channel and
+// an idempotent release. Callers defer it after their deferred Close, as
+// registerBlocker asks.
+func parked(t *testing.T, name string) (started chan struct{}, free func()) {
+	t.Helper()
+	started, release := registerBlocker(t, name)
+	var once sync.Once
+	return started, func() { once.Do(func() { close(release) }) }
+}
+
+// noSecondStart fails the test if another parked run starts within a
+// grace period.
+func noSecondStart(t *testing.T, started chan struct{}, why string) {
+	t.Helper()
+	select {
+	case <-started:
+		t.Fatal(why)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestGroupSharesTheWorkerBound: group seeds wait in the queue jobs wait
+// in, so a one-worker service given a parked job and a parked one-seed
+// group never runs two algorithms at once.
+func TestGroupSharesTheWorkerBound(t *testing.T) {
+	started, free := parked(t, "park-bound")
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	defer free()
+
+	jv, err := s.Submit(Request{Algo: "park-bound", Graph: smallGraph(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gv, err := s.SubmitGroup(GroupRequest{Algo: "park-bound", Graph: smallGraph(2), Seeds: []uint64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	noSecondStart(t, started, "a second algorithm started beside the parked one on a one-worker service")
+	if m := s.Metrics(); m.Running != 1 || m.Queued != 1 {
+		t.Fatalf("running=%d queued=%d, want 1/1", m.Running, m.Queued)
+	}
+	free()
+	if v := waitTerminal(t, s, jv.ID); v.State != Done {
+		t.Fatalf("job %s", v.State)
+	}
+	if v := waitGroupTerminal(t, s, gv.ID); v.State != Done {
+		t.Fatalf("group %s", v.State)
+	}
+}
+
+// TestGroupAdmissionAllOrNone: a group whose cache misses do not all fit
+// the tenant's queue is refused whole with ErrQueueFull and counted as the
+// tenant's rejection, a group larger than the queue bound is refused as
+// never admissible, and an admitted group's seeds count in the tenant's
+// row.
+func TestGroupAdmissionAllOrNone(t *testing.T) {
+	started, free := parked(t, "park-admit")
+	s := New(Config{Workers: 1, TenantLimits: func(string) TenantLimits { return TenantLimits{QueueSize: 2} }})
+	defer s.Close()
+	defer free()
+
+	// Park the worker, then take one of the tenant's two queue slots.
+	for i := uint64(1); i <= 2; i++ {
+		if _, err := s.Submit(Request{Algo: "park-admit", Graph: smallGraph(i), Tenant: "t"}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			<-started
+		}
+	}
+	before := s.Metrics()
+	if _, err := s.SubmitGroup(GroupRequest{Algo: "maxis", Graph: smallGraph(3), Seeds: []uint64{1, 2}, Tenant: "t"}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("two seeds for one free slot: %v, want ErrQueueFull", err)
+	}
+	after := s.Metrics()
+	if after.Submitted != before.Submitted || after.Queued != before.Queued || after.BatchMembers != 0 {
+		t.Fatalf("refused group admitted members: submitted %d→%d queued %d→%d members %d",
+			before.Submitted, after.Submitted, before.Queued, after.Queued, after.BatchMembers)
+	}
+	if tm := after.Tenants["t"]; tm.Rejected != 1 || tm.Submitted != 2 || tm.Queued != 1 {
+		t.Fatalf("tenant row after refusal %+v, want rejected 1, submitted 2, queued 1", tm)
+	}
+	if _, err := s.SubmitGroup(GroupRequest{Algo: "maxis", Graph: smallGraph(3), Seeds: []uint64{1, 2, 3}, Tenant: "t"}); err == nil || errors.Is(err, ErrQueueFull) {
+		t.Fatalf("three seeds against a queue bound of two: %v, want a non-retryable error", err)
+	}
+
+	gv, err := s.SubmitGroup(GroupRequest{Algo: "maxis", Graph: smallGraph(3), Seeds: []uint64{1}, Tenant: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	free()
+	if v := waitGroupTerminal(t, s, gv.ID); v.State != Done || v.Tenant != "t" {
+		t.Fatalf("admitted group: state %s tenant %q", v.State, v.Tenant)
+	}
+	if tm := s.Metrics().Tenants["t"]; tm.Submitted != 3 || tm.Rejected != 1 {
+		t.Fatalf("tenant row %+v, want submitted 3 (two jobs, one seed), rejected 1", tm)
+	}
+}
+
+// TestGroupHonoursTenantCellCap: group seeds run under the tenant's
+// concurrent-running cap (cells=) even with a worker free.
+func TestGroupHonoursTenantCellCap(t *testing.T) {
+	started, free := parked(t, "park-cells")
+	s := New(Config{Workers: 2, TenantLimits: func(string) TenantLimits { return TenantLimits{MaxRunning: 1} }})
+	defer s.Close()
+	defer free()
+
+	gv, err := s.SubmitGroup(GroupRequest{Algo: "park-cells", Graph: smallGraph(1), Seeds: []uint64{1, 2}, Tenant: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	noSecondStart(t, started, "a second seed started past the tenant's one-cell cap")
+	if tm := s.Metrics().Tenants["t"]; tm.Submitted != 2 || tm.Running != 1 || tm.Queued != 1 {
+		t.Fatalf("tenant row %+v, want submitted 2, running 1, queued 1", tm)
+	}
+	free()
+	if v := waitGroupTerminal(t, s, gv.ID); v.State != Done {
+		t.Fatalf("group %s", v.State)
+	}
+	if tm := s.Metrics().Tenants["t"]; tm.Completed != 2 {
+		t.Fatalf("tenant completed %d, want 2", tm.Completed)
 	}
 }

@@ -2,10 +2,13 @@
 // API: a bounded worker pool that executes registry algorithms on submitted
 // graphs, an in-memory job store with queued/running/done/failed/canceled
 // states, per-job context cancellation and timeouts, an LRU result cache
-// keyed by (graph fingerprint, algorithm, params), service metrics, and the
-// batch layer (Batches) that expands one stored graph × a parameter grid
-// into member jobs with per-batch progress, cancel fan-out and aggregated
-// per-cell statistics (DESIGN.md §4, §4a).
+// keyed by (graph fingerprint, algorithm, params), service metrics, and two
+// aggregates over the job: the batch layer (Batches) that expands one
+// stored graph × a parameter grid into member jobs with per-batch progress,
+// cancel fan-out and aggregated per-cell statistics, and job groups that
+// run one algorithm over N seeds (DESIGN.md §4, §4a, §6a). Every job —
+// single, batch member or group member — passes the one admission step and
+// runs on the one worker pool.
 //
 // The engine is deliberately self-contained and transport-agnostic: the
 // internal/httpapi front-end served by cmd/reprod is one client; embedding
@@ -151,6 +154,11 @@ type job struct {
 	// and must not call back into the Service (the batch engine only touches
 	// its own state).
 	notify func(JobView)
+	// grp, when set, makes the job the member for cell `cell` of that job
+	// group: it has no ID, is never stored in s.jobs, and settles into
+	// grp.cells[cell].
+	grp  *group
+	cell int
 
 	state     State
 	err       string
@@ -176,13 +184,6 @@ type Service struct {
 	cfg   Config
 	queue *fairQueue
 	wg    sync.WaitGroup
-
-	// groupSem bounds how many job groups execute concurrently (one engine
-	// run at a time each); sized like the worker pool so grouped and
-	// per-job load share the same parallelism budget. groupWG tracks group
-	// runner goroutines for Close.
-	groupSem chan struct{}
-	groupWG  sync.WaitGroup
 
 	mu             sync.Mutex
 	closed         bool
@@ -213,9 +214,10 @@ func (s *Service) tenantCounter(tenant string) *tenantCounters {
 }
 
 // markTerminal must be called with s.mu held once a job reaches a terminal
-// state: it releases the job's input graph, evicts the oldest finished
-// jobs beyond the retention bound, and fires the job's terminal
-// notification (batch bookkeeping) exactly once.
+// state: it releases the job's input graph and then either settles a group
+// member into its group or evicts the oldest finished jobs beyond the
+// retention bound and fires the job's terminal notification (batch
+// bookkeeping) exactly once.
 func (s *Service) markTerminal(jb *job) {
 	jb.g = nil
 	jb.finished = time.Now()
@@ -229,6 +231,10 @@ func (s *Service) markTerminal(jb *job) {
 		case Canceled:
 			tc.canceled++
 		}
+	}
+	if jb.grp != nil {
+		s.settleMemberLocked(jb)
+		return
 	}
 	s.terminal = append(s.terminal, jb.id)
 	for len(s.terminal) > s.cfg.MaxJobs {
@@ -251,7 +257,6 @@ func New(cfg Config) *Service {
 		queue:     newFairQueue(cfg.QueueSize, cfg.TenantLimits),
 		jobs:      make(map[string]*job),
 		groups:    make(map[string]*group),
-		groupSem:  make(chan struct{}, cfg.Workers),
 		cache:     newLRUCache(cfg.CacheSize),
 		tenantMet: make(map[string]*tenantCounters),
 	}
@@ -266,114 +271,126 @@ func New(cfg Config) *Service {
 // fingerprint, algorithm and normalized params) is cached, the job completes
 // immediately with CacheHit set and never occupies a worker.
 func (s *Service) Submit(req Request) (JobView, error) {
-	return s.submit(req, false, nil)
+	return s.submit(req, "", nil)
 }
 
-// submit is the shared submission path. fromBatch routes cache accounting to
-// the batch counters; notify, if non-nil, fires once at the job's terminal
-// transition (see job.notify).
-func (s *Service) submit(req Request, fromBatch bool, notify func(JobView)) (JobView, error) {
+// submit is the single-job submission path. fp is req.Graph's fingerprint,
+// "" to hash the graph here. A non-nil notify marks a batch member: its
+// cache traffic goes to the batch counters and notify fires once at its
+// terminal transition (see job.notify).
+func (s *Service) submit(req Request, fp string, notify func(JobView)) (JobView, error) {
+	jb, err := s.newJob(req)
+	if err != nil {
+		return JobView{}, err
+	}
+	if fp == "" {
+		fp = registry.Fingerprint(req.Graph)
+	}
+	jb.cacheKey = fp + "|" + jb.spec.CacheKey(jb.params)
+	jb.fromBatch, jb.notify = notify != nil, notify
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.admitLocked([]*job{jb}); err != nil {
+		return JobView{}, err
+	}
+	return jb.view(), nil
+}
+
+// newJob validates req and builds its queued job record, minus the cache
+// key, which the caller derives from the graph's fingerprint.
+func (s *Service) newJob(req Request) (*job, error) {
 	spec, ok := registry.Get(req.Algo)
 	if !ok {
-		return JobView{}, fmt.Errorf("service: unknown algorithm %q", req.Algo)
+		return nil, fmt.Errorf("service: unknown algorithm %q", req.Algo)
 	}
 	if req.Graph == nil {
-		return JobView{}, errors.New("service: nil graph")
+		return nil, errors.New("service: nil graph")
 	}
 	params := req.Params.Normalized()
 	if err := spec.Validate(params); err != nil {
-		return JobView{}, err
-	}
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	key := registry.Fingerprint(req.Graph) + "|" + spec.CacheKey(params)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return JobView{}, ErrDraining
-	}
-	if s.closed {
-		return JobView{}, ErrClosed
-	}
-	s.nextID++
-	trace := req.TraceID
-	if trace == "" {
-		trace = obs.NewTraceID()
+		return nil, err
 	}
 	jb := &job{
-		id:        fmt.Sprintf("j%08d", s.nextID),
-		traceID:   trace,
-		tenant:    req.Tenant,
-		spec:      spec,
-		g:         req.Graph,
-		params:    params,
-		cacheKey:  key,
-		timeout:   timeout,
-		fromBatch: fromBatch,
-		notify:    notify,
-		state:     Queued,
-		submitted: time.Now(),
+		traceID: req.TraceID,
+		tenant:  req.Tenant,
+		spec:    spec,
+		g:       req.Graph,
+		params:  params,
+		timeout: req.Timeout,
+		state:   Queued,
 	}
-	s.met.submitted++
-	if fromBatch {
-		s.met.batchMembers++
+	if jb.traceID == "" {
+		jb.traceID = obs.NewTraceID()
 	}
-	if jb.tenant != "" {
-		s.tenantCounter(jb.tenant).submitted++
+	if jb.timeout <= 0 {
+		jb.timeout = s.cfg.DefaultTimeout
 	}
+	return jb, nil
+}
 
-	if res, hit := s.cache.get(key); hit {
-		jb.state = Done
-		jb.cacheHit = true
-		jb.result = res
-		jb.started = jb.submitted
-		if fromBatch {
-			s.met.batchCacheHits++
+// admitLocked is the admission step every job passes, alone or as one of a
+// group's members (jobs share one tenant): look each up in the result
+// cache, push the misses onto the tenant's fair-queue lane all or none,
+// then count and register the admitted jobs. Cache hits complete at once
+// and never occupy a worker. Must be called with s.mu held.
+func (s *Service) admitLocked(jobs []*job) error {
+	if s.draining {
+		return ErrDraining
+	}
+	if s.closed {
+		return ErrClosed
+	}
+	var misses []*job
+	for _, jb := range jobs {
+		if res, hit := s.cache.get(jb.cacheKey); hit {
+			jb.cacheHit, jb.result = true, res
 		} else {
-			s.met.cacheHits++
+			misses = append(misses, jb)
 		}
-		s.met.completed++
-		s.jobs[jb.id] = jb
-		s.markTerminal(jb)
-		return jb.view(), nil
 	}
-	if fromBatch {
-		s.met.batchCacheMisses++
-	} else {
-		s.met.cacheMisses++
+	if err := s.queue.push(misses...); err != nil {
+		// Only ErrQueueFull gets here: Close and Drain mark the service
+		// closed, under s.mu, before they stop the queue.
+		if tenant := jobs[0].tenant; tenant != "" {
+			s.tenantCounter(tenant).rejected++
+		}
+		return err
 	}
-
-	if err := s.queue.push(jb); err != nil {
-		s.met.submitted--
-		if fromBatch {
-			s.met.batchMembers--
-			s.met.batchCacheMisses--
-		} else {
-			s.met.cacheMisses--
+	now := time.Now()
+	for _, jb := range jobs {
+		jb.submitted = now
+		s.met.submitted++
+		if jb.fromBatch {
+			s.met.batchMembers++
 		}
 		if jb.tenant != "" {
-			tc := s.tenantCounter(jb.tenant)
-			tc.submitted--
-			if errors.Is(err, ErrQueueFull) {
-				tc.rejected++
-			}
+			s.tenantCounter(jb.tenant).submitted++
 		}
-		if errors.Is(err, ErrClosed) {
-			// Raced with Close/Drain between the closed check and the push;
-			// surface the same error the check would have.
-			if s.draining {
-				return JobView{}, ErrDraining
-			}
-			return JobView{}, ErrClosed
+		if jb.grp == nil {
+			s.nextID++
+			jb.id = fmt.Sprintf("j%08d", s.nextID)
+			s.jobs[jb.id] = jb
 		}
-		return JobView{}, ErrQueueFull
+		switch {
+		case jb.cacheHit && jb.fromBatch:
+			s.met.batchCacheHits++
+		case jb.cacheHit:
+			s.met.cacheHits++
+		case jb.fromBatch:
+			s.met.batchCacheMisses++
+		default:
+			s.met.cacheMisses++
+		}
+		if !jb.cacheHit {
+			s.queued++
+			continue
+		}
+		jb.state = Done
+		jb.started = now
+		s.met.completed++
+		s.markTerminal(jb)
 	}
-	s.queued++
-	s.jobs[jb.id] = jb
-	return jb.view(), nil
+	return nil
 }
 
 // Get returns a snapshot of the job with the given ID.
@@ -397,6 +414,17 @@ func (s *Service) Cancel(id string) (JobView, error) {
 	if !ok {
 		return JobView{}, ErrNotFound
 	}
+	if jb.state.Terminal() {
+		return jb.view(), ErrFinished
+	}
+	s.cancelLocked(jb)
+	return jb.view(), nil
+}
+
+// cancelLocked stops a live job: a queued one transitions to Canceled at
+// once, a running one has its context canceled and transitions when its
+// worker observes it. Must be called with s.mu held.
+func (s *Service) cancelLocked(jb *job) {
 	switch jb.state {
 	case Queued:
 		jb.state = Canceled
@@ -407,10 +435,7 @@ func (s *Service) Cancel(id string) (JobView, error) {
 		if jb.cancel != nil {
 			jb.cancel()
 		}
-	default:
-		return jb.view(), ErrFinished
 	}
-	return jb.view(), nil
 }
 
 // Metrics returns a snapshot of the service counters.
@@ -480,8 +505,8 @@ func (s *Service) Telemetry() EngineTelemetry {
 	return s.met.engineTelemetry()
 }
 
-// Close stops accepting submissions, waits for queued and running jobs and
-// job groups to drain, and releases the worker pool.
+// Close stops accepting submissions, waits for queued and running jobs
+// (group members included) to drain, and releases the worker pool.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -492,13 +517,13 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	s.queue.close()
 	s.wg.Wait()
-	s.groupWG.Wait()
 }
 
 // Drain stops admission immediately (submissions fail with ErrDraining),
-// abandons queued-but-not-started jobs, and waits up to timeout for running
-// jobs and groups to finish. Abandoned jobs were never journaled terminal,
-// so a WAL resume after restart re-runs them — this is the SIGTERM
+// abandons queued-but-not-started jobs, group members included, and waits
+// up to timeout for running jobs to finish. Abandoned jobs were never
+// journaled terminal, so a WAL resume after restart re-runs them (and a
+// coordinator re-places an abandoned group elsewhere) — this is the SIGTERM
 // checkpoint path, where Close's run-everything semantics would block
 // shutdown behind an arbitrarily deep backlog. Returns true when all
 // in-flight work finished within the timeout. Safe to call more than once
@@ -512,7 +537,6 @@ func (s *Service) Drain(timeout time.Duration) bool {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		s.groupWG.Wait()
 		close(done)
 	}()
 	select {
@@ -544,6 +568,10 @@ func (s *Service) runJob(jb *job) {
 	s.queued--
 	jb.state = Running
 	jb.started = time.Now()
+	if gr := jb.grp; gr != nil {
+		gr.state = Running // not terminal while a member runs
+		gr.cells[jb.cell].State = Running
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), jb.timeout)
 	jb.cancel = cancel
 	s.running++

@@ -142,15 +142,6 @@ type Config struct {
 	// work-stealing loop to balance skewed degree distributions. Ignored by
 	// the sequential engine, which is always one tile.
 	TileArcs int
-	// CompressedNeighbors makes the engine's hot loops read adjacency from
-	// a delta-varint CompressedAdjacency (built once at Run start) instead
-	// of the raw 4-byte-per-arc CSR neighbor array, decoding each node's
-	// segment into a per-worker scratch buffer on demand. Results are
-	// bit-identical; the point is memory-bound runs on graphs ≫ LLC, where
-	// 1–2 bytes per arc of streamed reads beat 4, and mmap-backed graphs,
-	// where the raw neighbor pages then stay cold. Costs ~1 varint decode
-	// per arc per round of CPU.
-	CompressedNeighbors bool
 	// RecordRoundLog enables per-round statistics in Result.RoundLog.
 	RecordRoundLog bool
 }
@@ -387,24 +378,6 @@ type engine struct {
 	tiles        []shard
 	workers      int
 	nextTile     atomic.Int64
-	// ca and scratch implement Config.CompressedNeighbors: scratch[w] is
-	// worker w's decode buffer (cap ∆), valid only while that worker is
-	// inside one node's loop body.
-	ca      *graph.CompressedAdjacency
-	scratch [][]int32
-}
-
-// nbrSeg returns node v's neighbor segment: the zero-copy CSR view
-// normally, or the segment decoded into worker w's scratch buffer in
-// compressed mode. The returned slice is only valid until the same worker's
-// next nbrSeg call.
-func (e *engine) nbrSeg(v, w int) []int32 {
-	if e.ca == nil {
-		return e.nbrs[e.offsets[v]:e.offsets[v+1]]
-	}
-	buf := e.ca.AppendNeighbors(v, e.scratch[w][:0])
-	e.scratch[w] = buf[:0]
-	return buf
 }
 
 // Run executes the distributed algorithm defined by build on the graph g.
@@ -453,11 +426,9 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 			rand:      master.Split(uint64(v)),
 			out:       e.outArena[offsets[v]:offsets[v+1]],
 			outBits:   e.outBitsArena[offsets[v]:offsets[v+1]],
+			nbrs:      nbrs[offsets[v]:offsets[v+1]],
 			inbox:     e.inArena[offsets[v]:offsets[v]],
 			bitBudget: budget,
-		}
-		if !cfg.CompressedNeighbors {
-			e.ctxs[v].nbrs = nbrs[offsets[v]:offsets[v+1]]
 		}
 	}
 
@@ -472,13 +443,6 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 		}
 	}
 	e.tiles = tileByDegree(offsets, n, e.workers, cfg.TileArcs)
-	if cfg.CompressedNeighbors {
-		e.ca = g.CompressAdjacency()
-		e.scratch = make([][]int32, e.workers)
-		for w := range e.scratch {
-			e.scratch[w] = make([]int32, 0, g.MaxDegree())
-		}
-	}
 
 	// Persistent worker pool: workers 1..k-1 wait on their channel; the
 	// caller goroutine is worker 0. Each phase resets the shared tile
@@ -488,14 +452,14 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 	// are allocated once, so the per-round cost is a few channel operations
 	// and no allocation.
 	var wg sync.WaitGroup
-	var work []chan func(s *shard, w int)
+	var work []chan func(s *shard)
 	if e.workers > 1 {
-		work = make([]chan func(s *shard, w int), e.workers)
+		work = make([]chan func(s *shard), e.workers)
 		for w := 1; w < e.workers; w++ {
-			work[w] = make(chan func(s *shard, w int), 1)
+			work[w] = make(chan func(s *shard), 1)
 			go func(w int) {
 				for f := range work[w] {
-					e.drainTiles(f, w)
+					e.drainTiles(f)
 					wg.Done()
 				}
 			}(w)
@@ -506,10 +470,10 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 			}
 		}()
 	}
-	runPhase := func(f func(s *shard, w int)) {
+	runPhase := func(f func(s *shard)) {
 		if e.workers == 1 {
 			for i := range e.tiles {
-				f(&e.tiles[i], 0)
+				f(&e.tiles[i])
 			}
 			return
 		}
@@ -518,12 +482,10 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 		for w := 1; w < e.workers; w++ {
 			work[w] <- f
 		}
-		e.drainTiles(f, 0)
+		e.drainTiles(f)
 		wg.Wait()
 	}
-	stepPhase := func(s *shard, w int) { e.step(s, w) }
-	deliverPhase := func(s *shard, w int) { e.deliver(s, w) }
-	compactPhase := func(s *shard, w int) { e.compact(s, w) }
+	stepPhase, deliverPhase, compactPhase := e.step, e.deliver, e.compact
 
 	liveCount := n
 	for e.round = 0; liveCount > 0; e.round++ {
@@ -577,32 +539,27 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 	return res, nil
 }
 
-// drainTiles claims tiles off the shared counter and runs f on each as
-// worker w until the tile list is exhausted.
-func (e *engine) drainTiles(f func(s *shard, w int), w int) {
+// drainTiles claims tiles off the shared counter and runs f on each until
+// the tile list is exhausted.
+func (e *engine) drainTiles(f func(s *shard)) {
 	for {
 		i := int(e.nextTile.Add(1)) - 1
 		if i >= len(e.tiles) {
 			return
 		}
-		f(&e.tiles[i], w)
+		f(&e.tiles[i])
 	}
 }
 
 // step runs every live node of the tile and clears the consumed inbox slots
 // so the arena is ready for the next delivery into this segment.
-func (e *engine) step(s *shard, w int) {
+func (e *engine) step(s *shard) {
 	for v := s.lo; v < s.hi; v++ {
 		if e.halted[v] {
 			continue
 		}
 		ctx := &e.ctxs[v]
 		ctx.round = e.round
-		if e.ca != nil {
-			// Compressed mode: the context's neighbor view lives in this
-			// worker's scratch for exactly this Step call.
-			ctx.nbrs = e.nbrSeg(v, w)
-		}
 		e.autos[v].Step(ctx, ctx.inbox)
 		for j := range ctx.inbox {
 			ctx.inbox[j] = Envelope{}
@@ -615,21 +572,16 @@ func (e *engine) step(s *shard, w int) {
 // deliver copies each stepped node's outbox slots into the receivers' inbox
 // slots via the mirror-arc index and accumulates metrics. Each arena slot is
 // written by exactly one sender, so tiles never contend.
-func (e *engine) deliver(s *shard, w int) {
+func (e *engine) deliver(s *shard) {
 	for v := s.lo; v < s.hi; v++ {
 		if !e.stepped[v] {
 			continue
 		}
 		e.stepped[v] = false
-		lo, hi := e.offsets[v], e.offsets[v+1]
-		var seg []int32
-		for k := lo; k < hi; k++ {
+		for k, hi := e.offsets[v], e.offsets[v+1]; k < hi; k++ {
 			m := e.outArena[k]
 			if m == nil {
 				continue
-			}
-			if seg == nil {
-				seg = e.nbrSeg(v, w)
 			}
 			e.outArena[k] = nil
 			b := int(e.outBitsArena[k])
@@ -638,7 +590,7 @@ func (e *engine) deliver(s *shard, w int) {
 			if b > s.maxBits {
 				s.maxBits = b
 			}
-			if u := seg[k-lo]; !e.halted[u] {
+			if u := e.nbrs[k]; !e.halted[u] {
 				e.inArena[e.mirror[k]] = Envelope{From: v, Msg: m}
 			}
 		}
@@ -649,7 +601,7 @@ func (e *engine) deliver(s *shard, w int) {
 // segment, preserving slot order — slots are keyed by sender position in the
 // sorted CSR segment, so the resulting inbox is ordered by ascending sender
 // ID, the engine's canonical delivery order.
-func (e *engine) compact(s *shard, _ int) {
+func (e *engine) compact(s *shard) {
 	for v := s.lo; v < s.hi; v++ {
 		if e.halted[v] {
 			continue

@@ -98,8 +98,7 @@ func runDigest(t *testing.T, g *graph.Graph, cfg Config) []any {
 // TestDeterminismAcrossTileConfigs is the engine-scale-up contract: the
 // sequential engine, the tiled work-stealing engine (forced multi-worker via
 // GOMAXPROCS, with tiles small enough that every phase crosses many tile
-// boundaries) and the compressed-neighbor mode must all produce bit-identical
-// outputs for a fixed seed.
+// boundaries) must produce bit-identical outputs for a fixed seed.
 func TestDeterminismAcrossTileConfigs(t *testing.T) {
 	g := graph.GNP(400, 0.05, rng.New(17))
 	want := runDigest(t, g, Config{Seed: 99})
@@ -108,8 +107,6 @@ func TestDeterminismAcrossTileConfigs(t *testing.T) {
 		"par-default-tiles": {Seed: 99, Parallel: true},
 		"par-tiny-tiles":    {Seed: 99, Parallel: true, TileArcs: 64},
 		"par-one-arc-tiles": {Seed: 99, Parallel: true, TileArcs: 1},
-		"seq-compressed":    {Seed: 99, CompressedNeighbors: true},
-		"par-compressed":    {Seed: 99, Parallel: true, TileArcs: 64, CompressedNeighbors: true},
 	}
 	withProcs(t, 4, func() {
 		for name, cfg := range configs {
@@ -118,39 +115,6 @@ func TestDeterminismAcrossTileConfigs(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestCompressedNeighborsContext pins the Neighbors contract in compressed
-// mode: the ctx view must match the CSR exactly during the node's own step,
-// and Send/SendNbr must keep working (they consult the same view).
-func TestCompressedNeighborsContext(t *testing.T) {
-	g := graph.GNP(120, 0.1, rng.New(23))
-	for _, parallel := range []bool{false, true} {
-		withProcs(t, 4, func() {
-			_, err := Run(g, Config{Parallel: parallel, TileArcs: 32, CompressedNeighbors: true}, func(v int) Automaton {
-				return automatonFunc(func(ctx *Context, inbox []Envelope) {
-					nbrs := ctx.Neighbors()
-					want := g.Neighbors(ctx.ID())
-					if len(nbrs) != len(want) {
-						t.Errorf("node %d: %d neighbors in ctx, %d in CSR", ctx.ID(), len(nbrs), len(want))
-					}
-					for i := range want {
-						if nbrs[i] != want[i] {
-							t.Errorf("node %d: neighbor %d is %d, want %d", ctx.ID(), i, nbrs[i], want[i])
-						}
-					}
-					if ctx.Round() == 0 && len(nbrs) > 0 {
-						ctx.SendNbr(0, intMsg{v: ctx.ID(), bits: 10})
-						return
-					}
-					ctx.Halt(nil)
-				})
-			})
-			if err != nil {
-				t.Fatalf("parallel=%t: %v", parallel, err)
-			}
-		})
-	}
 }
 
 // TestTiledMetricsMatchSequential pins the commutative-fold claim: message

@@ -84,7 +84,6 @@ func (c config) params() registry.Params {
 		MaxRounds:             c.sim.MaxRounds,
 		BitsFactor:            c.sim.BitsFactor,
 		Parallel:              c.sim.Parallel,
-		CompressedNeighbors:   c.sim.CompressedNeighbors,
 		DeterministicColoring: c.detColoring,
 	}
 }
@@ -129,14 +128,6 @@ func WithDelta(delta float64) Option {
 // identical to the sequential engine for the same seed.
 func WithParallel() Option {
 	return func(c *config) { c.sim.Parallel = true }
-}
-
-// WithCompressedNeighbors makes the engine read adjacency from a delta-varint
-// compressed copy instead of the raw CSR neighbor array — fewer bytes
-// streamed per round on memory-bound graphs ≫ cache, at the cost of decode
-// CPU. Results are identical either way.
-func WithCompressedNeighbors() Option {
-	return func(c *config) { c.sim.CompressedNeighbors = true }
 }
 
 // WithMaxRounds overrides the engine's round-limit failsafe.
