@@ -25,10 +25,9 @@
 //
 // Logs are structured (log/slog); -log selects text or json output. In
 // coordinator mode the dispatch path emits span events (group_dispatch,
-// group_retry, group_replace, group_straggler, group_hedge, worker_down,
-// worker_revived) tagged with batch and cell trace IDs; both modes log
-// batch_submit and batch_done. -pprof mounts net/http/pprof under
-// /debug/pprof/ in both modes.
+// group_retry, group_replace, worker_down, worker_revived) tagged with
+// batch and cell trace IDs; both modes log batch_submit and batch_done.
+// -pprof mounts net/http/pprof under /debug/pprof/ in both modes.
 //
 // Example:
 //
@@ -43,11 +42,9 @@
 // consistent-hashed onto workers by fingerprint and uploaded once each in
 // the compact binary codec, same-parameter cells ride together as job
 // groups of -groupsize seeds (one lookup, one submit, one poll stream per
-// group), groups retry on worker failure, -hedge speculatively
-// re-dispatches groups that run past -straggler (first result wins,
-// duplicates discarded), and GET /v1/cluster reports fleet health and
-// placement. Single-job endpoints are not served in
-// coordinator mode.
+// group), groups retry on worker failure by re-placing onto the next
+// healthy worker, and GET /v1/cluster reports fleet health and placement.
+// Single-job endpoints are not served in coordinator mode.
 //
 // Durability: -waldir journals graph bindings and batch progress to
 // checksummed write-ahead logs (with -snapshot-every compaction) so that a
@@ -153,8 +150,6 @@ func main() {
 	probe := flag.Duration("probe", 5*time.Second, "coordinator mode: worker health-probe interval (0 disables)")
 	poll := flag.Duration("poll", 20*time.Millisecond, "coordinator mode: job poll interval against workers")
 	logFormat := flag.String("log", "text", "structured log format: text or json")
-	straggler := flag.Duration("straggler", 0, "coordinator mode: straggler threshold — log a span event once a dispatched group runs this long, and hedge it under -hedge (0 = adaptive 3×p99)")
-	hedge := flag.Bool("hedge", false, "coordinator mode: speculatively re-dispatch straggling groups to a second worker; first result wins")
 	groupSize := flag.Int("groupsize", 16, "coordinator mode: max seeds per dispatched job group")
 	keysFile := flag.String("keys", "", "per-tenant API key file; enables multi-tenant mode (auth, rate limits, fair-share admission); SIGHUP reloads it")
 	drainFor := flag.Duration("drain", 30*time.Second, "graceful-drain bound on SIGINT/SIGTERM: how long to wait for in-flight work before forcing shutdown")
@@ -172,8 +167,8 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	inert := map[bool][]string{
-		true:  {"pool", "queue", "cache", "timeout", "load"},                  // single-node engine knobs
-		false: {"window", "probe", "poll", "straggler", "hedge", "groupsize"}, // coordinator knobs
+		true:  {"pool", "queue", "cache", "timeout", "load"}, // single-node engine knobs
+		false: {"window", "probe", "poll", "groupsize"},      // coordinator knobs
 	}
 	for _, name := range inert[*fleet != ""] {
 		if set[name] {
@@ -218,20 +213,18 @@ func main() {
 			storeWAL = filepath.Join(*walDir, "store")
 		}
 		coord, err := cluster.New(cluster.Config{
-			Workers:        strings.Split(*fleet, ","),
-			Window:         *window,
-			ProbeInterval:  *probe,
-			PollInterval:   *poll,
-			MaxGraphs:      *maxGraphs,
-			WALDir:         storeWAL,
-			SpillDir:       *spillDir,
-			SnapshotEvery:  *snapshotEvery,
-			MaxCells:       *maxCells,
-			Logger:         logger,
-			StragglerAfter: *straggler,
-			Hedge:          *hedge,
-			GroupSize:      *groupSize,
-			WorkerAPIKey:   *workerKey,
+			Workers:       strings.Split(*fleet, ","),
+			Window:        *window,
+			ProbeInterval: *probe,
+			PollInterval:  *poll,
+			MaxGraphs:     *maxGraphs,
+			WALDir:        storeWAL,
+			SpillDir:      *spillDir,
+			SnapshotEvery: *snapshotEvery,
+			MaxCells:      *maxCells,
+			Logger:        logger,
+			GroupSize:     *groupSize,
+			WorkerAPIKey:  *workerKey,
 		})
 		if err != nil {
 			log.Fatal(err)

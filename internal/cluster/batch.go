@@ -191,151 +191,55 @@ func failedOutcomes(dg *dgroup, msg string) []service.CellOutcome {
 	return outs
 }
 
-// gAttempt is the outcome of one worker attempt at a group: either a full
-// per-cell outcome slice, or a worker-level error (caller re-places).
-type gAttempt struct {
-	outs   []service.CellOutcome
-	err    error
-	w      *worker
-	hedged bool
-}
-
 // runGroup places one dispatch group on the ring and runs it to terminal,
-// re-placing onto the next healthy worker on worker failure (transport
-// error, 5xx, hung connection); application-level failures are per-cell
-// outcomes, deterministic, and would fail anywhere. With Config.Hedge set,
-// a group still running past the straggler threshold is speculatively
-// dispatched a second time to the next distinct healthy worker: the first
-// attempt to come back with outcomes wins, the loser is canceled via the
-// shared attempt context and its (eventual) result discarded. Dispatch is
-// therefore at-least-once; BatchRun.Finish keeps the merge at-most-once.
+// one attempt at a time, re-placing onto the next healthy worker on worker
+// failure (transport error, 5xx, hung connection); application-level
+// failures are per-cell outcomes, deterministic, and would fail anywhere. A
+// worker that failed may still finish its abandoned attempt, so a retried
+// cell can run twice; only the outcomes of the attempt that returned are
+// merged.
 func (c *Coordinator) runGroup(r *service.BatchRun, pg *pinnedGraph, dg *dgroup) {
 	// The group's trace is its first cell's child trace; every cell still
 	// carries its own child ID in the group submission, so per-cell greps
 	// keep working across hosts.
 	gtrace := obs.ChildTraceID(r.TraceID, dg.idxs[0])
 	maxAttempts := 2 * len(c.workers)
-
-	attemptCtx, cancelAttempts := context.WithCancel(r.Context())
-	var lwg sync.WaitGroup
-	defer func() {
-		// First result won (or the group gave up): cut any losing attempt
-		// loose and wait for it to observe the cancel, so no goroutine and no
-		// window slot outlives the group.
-		cancelAttempts()
-		lwg.Wait()
-	}()
-
-	results := make(chan gAttempt, 2)
-	var primary *worker
-	launch := func(w *worker, hedged bool) {
-		lwg.Add(1)
-		go func() {
-			defer lwg.Done()
-			start := time.Now()
-			outs, err := c.runGroupOnWorker(attemptCtx, r, dg, w, pg, gtrace, hedged)
-			if err == nil && attemptCtx.Err() == nil {
-				c.recordGroupDur(time.Since(start))
-			}
-			results <- gAttempt{outs: outs, err: err, w: w, hedged: hedged}
-		}()
-	}
-
 	var lastErr error
-	attempts, inflight := 0, 0
-	hedged := false
-	var hedgeTimer <-chan time.Time
-	place := func() bool {
-		w := c.owner(pg.fp)
-		if w == nil {
-			return false
-		}
-		primary = w
-		launch(w, false)
-		inflight++
-		if c.cfg.Hedge && !hedged {
-			if d := c.stragglerThreshold(); d > 0 {
-				hedgeTimer = time.After(d)
-			}
-		}
-		return true
-	}
-
-	failAll := func() {
-		msg := "cluster: no healthy workers"
-		if attempts >= maxAttempts {
-			msg = fmt.Sprintf("cluster: giving up after %d attempts: %v", attempts, lastErr)
-		} else if lastErr != nil {
-			msg = fmt.Sprintf("%s (last worker error: %v)", msg, lastErr)
-		}
-		r.Finish(dg.idxs, failedOutcomes(dg, msg))
-	}
-
-	if r.Context().Err() != nil {
-		r.Finish(dg.idxs, canceledOutcomes(dg))
-		return
-	}
-	if !place() {
-		failAll()
-		return
-	}
+	attempts := 0
 	for {
-		select {
-		case at := <-results:
-			inflight--
-			switch {
-			case at.err == nil:
-				// First terminal outcome set wins. A hedge winning over a
-				// live primary counts as won; a primary winning after a hedge
-				// fired means the hedge was wasted work.
-				if at.hedged {
-					c.hedgesWon.Add(1)
-				} else if hedged {
-					c.hedgesWasted.Add(1)
-				}
-				r.Finish(dg.idxs, at.outs)
-				return
-			case errors.Is(at.err, errWorkerDown):
-				// Downed (by another dispatch or a probe) between placement
-				// and dispatch: nothing new learned, just re-place.
-				c.log.Info("group re-placed", "event", "group_replace",
-					"batch", r.ID, "trace", gtrace, "worker", at.w.url)
-			default:
-				c.markDown(at.w, at.err)
-				c.cellRetries.Add(uint64(len(dg.idxs)))
-				lastErr = at.err
-				attempts++
-				c.log.Warn("group retry", "event", "group_retry",
-					"batch", r.ID, "trace", gtrace, "worker", at.w.url,
-					"cells", len(dg.idxs), "attempt", attempts, "error", at.err.Error())
+		if r.Context().Err() != nil {
+			r.Finish(dg.idxs, canceledOutcomes(dg))
+			return
+		}
+		w := c.owner(pg.fp)
+		if w == nil || attempts >= maxAttempts {
+			msg := "cluster: no healthy workers"
+			if attempts >= maxAttempts {
+				msg = fmt.Sprintf("cluster: giving up after %d attempts: %v", attempts, lastErr)
+			} else if lastErr != nil {
+				msg = fmt.Sprintf("%s (last worker error: %v)", msg, lastErr)
 			}
-			if inflight > 0 {
-				continue // the surviving attempt (primary or hedge) may still win
-			}
-			if r.Context().Err() != nil {
-				r.Finish(dg.idxs, canceledOutcomes(dg))
-				return
-			}
-			if attempts >= maxAttempts || !place() {
-				failAll()
-				return
-			}
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if inflight != 1 {
-				continue
-			}
-			w2 := c.hedgeTarget(pg.fp, primary)
-			if w2 == nil {
-				continue
-			}
-			hedged = true
-			c.hedgesFired.Add(1)
-			c.log.Info("group hedged", "event", "group_hedge",
-				"batch", r.ID, "trace", gtrace, "primary", primary.url,
-				"hedge", w2.url, "cells", len(dg.idxs))
-			launch(w2, true)
-			inflight++
+			r.Finish(dg.idxs, failedOutcomes(dg, msg))
+			return
+		}
+		outs, err := c.runGroupOnWorker(r, dg, w, pg, gtrace)
+		switch {
+		case err == nil:
+			r.Finish(dg.idxs, outs)
+			return
+		case errors.Is(err, errWorkerDown):
+			// Downed (by another dispatch or a probe) between placement and
+			// dispatch: nothing new learned, just re-place.
+			c.log.Info("group re-placed", "event", "group_replace",
+				"batch", r.ID, "trace", gtrace, "worker", w.url)
+		default:
+			c.markDown(w, err)
+			c.cellRetries.Add(uint64(len(dg.idxs)))
+			lastErr = err
+			attempts++
+			c.log.Warn("group retry", "event", "group_retry",
+				"batch", r.ID, "trace", gtrace, "worker", w.url,
+				"cells", len(dg.idxs), "attempt", attempts, "error", err.Error())
 		}
 	}
 }
@@ -344,10 +248,11 @@ func (c *Coordinator) runGroup(r *service.BatchRun, pg *pinnedGraph, dg *dgroup)
 // for the whole group, ensure the graph is uploaded (binary codec), submit
 // the job group, poll to terminal over the negotiated binary rendering. A
 // non-nil error means the worker failed; application outcomes — including
-// per-cell failures and cache hits — come back one per seed. Cancellation of
-// ctx (batch cancel, or losing a hedge race) returns canceled outcomes with
-// a nil error after best-effort canceling the worker-side group.
-func (c *Coordinator) runGroupOnWorker(ctx context.Context, r *service.BatchRun, dg *dgroup, w *worker, pg *pinnedGraph, gtrace string, hedged bool) ([]service.CellOutcome, error) {
+// per-cell failures and cache hits — come back one per seed. A batch cancel
+// returns canceled outcomes with a nil error after best-effort canceling the
+// worker-side group.
+func (c *Coordinator) runGroupOnWorker(r *service.BatchRun, dg *dgroup, w *worker, pg *pinnedGraph, gtrace string) ([]service.CellOutcome, error) {
+	ctx := r.Context()
 	w.mu.Lock()
 	w.queueDepth++
 	w.mu.Unlock()
@@ -448,24 +353,14 @@ func (c *Coordinator) runGroupOnWorker(ctx context.Context, r *service.BatchRun,
 		return failedOutcomes(dg, apiErr.Message), nil
 	}
 	r.Dispatched(dg.idxs, fmt.Sprintf("w%d:%s", w.id, gr.ID))
-	dispatchedAt := time.Now()
 	c.log.Info("group dispatched", "event", "group_dispatch",
 		"batch", r.ID, "trace", gtrace, "worker", w.url, "group", gr.ID,
-		"cells", len(dg.idxs), "hedged", hedged)
+		"cells", len(dg.idxs))
 
-	straggler := false
 	for !gr.Terminal() {
-		if d := c.stragglerThreshold(); d > 0 && !straggler && time.Since(dispatchedAt) > d {
-			// Surfaced once per dispatch; with Hedge set the parent runGroup
-			// loop acts on the same threshold.
-			straggler = true
-			c.log.Warn("group straggling", "event", "group_straggler",
-				"batch", r.ID, "trace", gtrace, "worker", w.url, "group", gr.ID,
-				"running_for", time.Since(dispatchedAt))
-		}
 		select {
 		case <-ctx.Done():
-			// Best-effort worker-side cancel on a fresh context — the attempt
+			// Best-effort worker-side cancel on a fresh context — the batch
 			// context is already dead; the HTTP client timeout still bounds it.
 			_, _ = w.client.CancelJobGroup(context.Background(), gr.ID)
 			return canceledOutcomes(dg), nil

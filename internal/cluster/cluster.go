@@ -9,9 +9,8 @@
 // path), dispatches each group to the owning worker over
 // internal/httpapi.Client with a bounded in-flight window per worker,
 // retries groups on worker failure by re-placing onto the next healthy
-// worker along the ring, optionally hedges straggling groups onto a second
-// worker (first result wins, Config.Hedge), and reports per-cell results
-// into a batch view that is indistinguishable from a single-node run.
+// worker along the ring, and reports per-cell results into a batch view
+// that is indistinguishable from a single-node run.
 //
 // The batch lifecycle is the single-node engine's: the coordinator is a
 // service.Executor behind a service.Batches (see batch.go), which owns
@@ -41,7 +40,6 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -91,8 +89,6 @@ type Config struct {
 	// service.BatchConfig's fields of the same name do.
 	MaxCells   int
 	MaxBatches int
-	// Replicas is the number of virtual ring points per worker (default 64).
-	Replicas int
 	// HTTPClient overrides the worker HTTP client (tests); nil selects a
 	// client with RequestTimeout.
 	HTTPClient *http.Client
@@ -100,20 +96,9 @@ type Config struct {
 	// with API keys (-keys on the workers); empty sends none.
 	WorkerAPIKey string
 	// Logger receives the coordinator's structured span events (dispatch,
-	// retry, re-placement, worker down/revived, straggler, hedge), each
-	// tagged with the batch and cell trace IDs. Nil discards them.
+	// retry, re-placement, worker down/revived), each tagged with the batch
+	// and cell trace IDs. Nil discards them.
 	Logger *slog.Logger
-	// StragglerAfter, when positive, marks a dispatched group a straggler
-	// once its poll loop runs this long: a straggler span event is logged,
-	// and with Hedge set it is also the hedge trigger. Zero falls back to an
-	// adaptive threshold (3× the observed p99 group duration) once enough
-	// groups have completed.
-	StragglerAfter time.Duration
-	// Hedge enables speculative re-dispatch: a group past the straggler
-	// threshold is dispatched a second time to the next healthy worker,
-	// first result wins, the loser is canceled and its result discarded
-	// (DESIGN.md §6a).
-	Hedge bool
 	// GroupSize caps how many same-(graph, algo, params) cells ride in one
 	// dispatched job group (default 16).
 	GroupSize int
@@ -128,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 20 * time.Millisecond
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 64
 	}
 	if c.GroupSize <= 0 {
 		c.GroupSize = 16
@@ -160,7 +142,7 @@ type worker struct {
 	inFlight  int
 	// queueDepth counts dispatch attempts waiting for a window slot on this
 	// worker — the backlog behind the in-flight window, exposed as a
-	// Prometheus gauge so hedging behavior is observable.
+	// Prometheus gauge so a slow worker's backlog is observable.
 	queueDepth int
 	dispatched uint64
 	failures   uint64
@@ -174,6 +156,9 @@ func (w *worker) isHealthy() bool {
 	defer w.mu.Unlock()
 	return w.healthy
 }
+
+// ringReplicas is the number of virtual ring points per worker.
+const ringReplicas = 64
 
 // ringPoint is one virtual node on the consistent-hash circle.
 type ringPoint struct {
@@ -204,58 +189,7 @@ type Coordinator struct {
 	cellRetries      atomic.Uint64
 	workerFailures   atomic.Uint64
 	groupsDispatched atomic.Uint64
-	hedgesFired      atomic.Uint64
-	hedgesWon        atomic.Uint64
-	hedgesWasted     atomic.Uint64
 	wireBytes        atomic.Uint64
-
-	// durMu guards the ring of recent group-attempt durations backing the
-	// adaptive straggler threshold.
-	durMu   sync.Mutex
-	durs    [64]time.Duration
-	durN    int
-	durNext int
-}
-
-// recordGroupDur folds one successful group-attempt duration into the
-// adaptive-threshold ring.
-func (c *Coordinator) recordGroupDur(d time.Duration) {
-	c.durMu.Lock()
-	c.durs[c.durNext] = d
-	c.durNext = (c.durNext + 1) % len(c.durs)
-	if c.durN < len(c.durs) {
-		c.durN++
-	}
-	c.durMu.Unlock()
-}
-
-// minHedgeSamples gates the adaptive threshold: below it there is no
-// credible p99 and hedging stays off (unless StragglerAfter pins the
-// threshold explicitly).
-const minHedgeSamples = 20
-
-// stragglerThreshold returns how long a dispatched group may run before it
-// counts as a straggler (and, with Hedge on, gets hedged). Zero disables:
-// StragglerAfter is authoritative when set, otherwise 3× the observed p99
-// once minHedgeSamples group attempts have completed.
-func (c *Coordinator) stragglerThreshold() time.Duration {
-	if c.cfg.StragglerAfter > 0 {
-		return c.cfg.StragglerAfter
-	}
-	c.durMu.Lock()
-	defer c.durMu.Unlock()
-	if c.durN < minHedgeSamples {
-		return 0
-	}
-	snap := make([]time.Duration, c.durN)
-	copy(snap, c.durs[:c.durN])
-	slices.Sort(snap)
-	// Nearest-rank p99, same convention as the service latency percentiles.
-	idx := (99*len(snap) + 99) / 100
-	if idx > len(snap) {
-		idx = len(snap)
-	}
-	return 3 * snap[idx-1]
 }
 
 // New builds a coordinator over the configured workers. Workers start out
@@ -311,7 +245,7 @@ func New(cfg Config) (*Coordinator, error) {
 			uploading: make(map[string]chan struct{}),
 		}
 		c.workers = append(c.workers, w)
-		for r := 0; r < cfg.Replicas; r++ {
+		for r := 0; r < ringReplicas; r++ {
 			c.ring = append(c.ring, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", u, r)), w: w})
 		}
 	}
@@ -349,26 +283,6 @@ func (c *Coordinator) owner(fp string) *worker {
 		}
 		if len(tried) == len(c.workers) {
 			break
-		}
-	}
-	return nil
-}
-
-// hedgeTarget returns the first healthy worker clockwise from fp's ring
-// position that is not avoid — where a hedged group re-dispatch goes. Nil
-// when no distinct healthy worker exists (hedging then stays a no-op).
-func (c *Coordinator) hedgeTarget(fp string, avoid *worker) *worker {
-	h := hash64(fp)
-	start := sort.Search(len(c.ring), func(i int) bool { return c.ring[i].hash >= h })
-	tried := make(map[int]bool, len(c.workers))
-	for i := 0; i < len(c.ring) && len(tried) < len(c.workers); i++ {
-		pt := c.ring[(start+i)%len(c.ring)]
-		if tried[pt.w.id] {
-			continue
-		}
-		tried[pt.w.id] = true
-		if pt.w != avoid && pt.w.isHealthy() {
-			return pt.w
 		}
 	}
 	return nil
@@ -548,9 +462,6 @@ func (c *Coordinator) Metrics() httpapi.ClusterMetrics {
 		CellRetries:      c.cellRetries.Load(),
 		WorkerFailures:   c.workerFailures.Load(),
 		GroupsDispatched: c.groupsDispatched.Load(),
-		HedgesFired:      c.hedgesFired.Load(),
-		HedgesWon:        c.hedgesWon.Load(),
-		HedgesWasted:     c.hedgesWasted.Load(),
 		WireBytesTotal:   c.wireBytes.Load(),
 	}
 	// Fan the worker round trips out: one hung worker must cost one request

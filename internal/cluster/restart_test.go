@@ -119,7 +119,6 @@ func TestWorkerRestartsMidBatch(t *testing.T) {
 		t.Fatalf("no test worker at %s", victim.url)
 	}
 	tw := workers[idx]
-	uploadedBefore := len(tw.st.List())
 	tw.proxy.set(faultKill)
 	// The old process image drains and dies; its WAL keeps every binding it
 	// acknowledged.
@@ -127,6 +126,10 @@ func TestWorkerRestartsMidBatch(t *testing.T) {
 	if err := tw.st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Count only now: an upload already past the proxy when the kill landed
+	// either committed before Close or was refused by the closed store, so
+	// the closed store lists exactly the graphs it acknowledged.
+	acked := len(tw.st.List())
 
 	// Restart: a fresh stack on the same directories, served through the
 	// same listener, visible to the coordinator at the same URL.
@@ -135,8 +138,8 @@ func TestWorkerRestartsMidBatch(t *testing.T) {
 		svc2.Close()
 		st2.Close()
 	})
-	if got := len(st2.List()); got != uploadedBefore {
-		t.Fatalf("restarted worker recovered %d graphs, had %d before the kill", got, uploadedBefore)
+	if got := len(st2.List()); got != acked {
+		t.Fatalf("restarted worker recovered %d graphs, acknowledged %d before the kill", got, acked)
 	}
 	tw.proxy.swap(h2)
 	tw.proxy.set(faultOff)

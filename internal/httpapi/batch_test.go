@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 func wantStatus(t *testing.T, err error, code int) {
@@ -198,6 +200,34 @@ func TestBatchPinBlocksGraphDelete(t *testing.T) {
 	if err := c.DeleteGraph(context.Background(), "pinned"); err != nil {
 		t.Fatalf("delete after batch: %v", err)
 	}
+}
+
+// TestClosedStoreAnswers503: a durable store closed under a live handler
+// (a worker shutting down) refuses graph writes with 503, which a
+// coordinator treats as a worker failure and re-places, not as a 4xx
+// rejection that would fail the cells.
+func TestClosedStoreAnswers503(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	t.Cleanup(svc.Close)
+	st, err := store.Open(store.Config{WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(svc, st, service.NewBatches(svc, st, service.BatchConfig{})))
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, nil)
+
+	gen := GenRequest{Gen: "gnp", N: 12, P: 0.3, Seed: 1}
+	if _, err := c.PutGraphGen(context.Background(), "kept", gen); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.PutGraphGen(context.Background(), "late", gen)
+	wantStatus(t, err, http.StatusServiceUnavailable)
+	err = c.DeleteGraph(context.Background(), "kept")
+	wantStatus(t, err, http.StatusServiceUnavailable)
 }
 
 // TestBatchCancelFanOutHTTP covers DELETE /v1/batches/{id}: members are

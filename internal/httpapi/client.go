@@ -20,7 +20,7 @@ import (
 //
 // Every method takes a context as its first argument and abandons the HTTP
 // round trip when it is canceled — the cluster coordinator relies on this to
-// cut losing hedge attempts loose promptly.
+// stop a canceled batch's worker round trips promptly.
 type Client struct {
 	base   string
 	hc     *http.Client

@@ -75,14 +75,8 @@ type ClusterMetrics struct {
 	CellsDispatched  uint64 `json:"cells_dispatched"`
 	CellRetries      uint64 `json:"cell_retries"`
 	WorkerFailures   uint64 `json:"worker_failures"`
-	// GroupsDispatched counts job-group dispatches (hedges and retries
-	// included); HedgesFired/Won/Wasted account for speculative re-dispatch:
-	// fired when a straggling group was hedged, won when the hedge produced
-	// the winning result, wasted when the primary still won.
+	// GroupsDispatched counts job-group dispatches, retries included.
 	GroupsDispatched uint64 `json:"groups_dispatched"`
-	HedgesFired      uint64 `json:"hedges_fired"`
-	HedgesWon        uint64 `json:"hedges_won"`
-	HedgesWasted     uint64 `json:"hedges_wasted"`
 	// WireBytesTotal counts body bytes shipped to and from workers over the
 	// binary codecs (graph uploads and group poll responses).
 	WireBytesTotal uint64 `json:"wire_bytes_total"`

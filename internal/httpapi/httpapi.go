@@ -499,6 +499,8 @@ func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, b Backend) {
 			writeErr(w, http.StatusNotFound, "no such graph")
 		case errors.Is(err, store.ErrPinned):
 			writeErr(w, http.StatusConflict, err.Error())
+		case errors.Is(err, store.ErrClosed):
+			writeErr(w, http.StatusServiceUnavailable, err.Error())
 		case err != nil:
 			writeErr(w, http.StatusInternalServerError, err.Error())
 		default:
@@ -765,6 +767,9 @@ func handlePutGraph(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *htt
 		writeErr(w, http.StatusConflict, err.Error())
 	case errors.Is(err, store.ErrFull):
 		writeErr(w, http.StatusInsufficientStorage, err.Error())
+	case errors.Is(err, store.ErrClosed):
+		// Shutting down: a coordinator re-places, not a per-cell failure.
+		writeErr(w, http.StatusServiceUnavailable, err.Error())
 	case err != nil:
 		writeErr(w, http.StatusBadRequest, err.Error())
 	default:

@@ -137,10 +137,7 @@ func writePromCluster(w http.ResponseWriter, m ClusterMetrics, v ClusterView) {
 	p.Counter("repro_cluster_cells_dispatched_total", "Cell dispatches to workers (retries included).", float64(m.CellsDispatched))
 	p.Counter("repro_cluster_cell_retries_total", "Cell re-dispatches after a worker failure.", float64(m.CellRetries))
 	p.Counter("repro_cluster_worker_failures_total", "Worker failures observed by the coordinator.", float64(m.WorkerFailures))
-	p.Counter("repro_cluster_groups_dispatched_total", "Job-group dispatches to workers (hedges and retries included).", float64(m.GroupsDispatched))
-	p.Counter("repro_cluster_hedges_fired_total", "Straggling groups speculatively re-dispatched.", float64(m.HedgesFired))
-	p.Counter("repro_cluster_hedges_won_total", "Hedge attempts that produced the winning result.", float64(m.HedgesWon))
-	p.Counter("repro_cluster_hedges_wasted_total", "Hedge attempts beaten by their primary.", float64(m.HedgesWasted))
+	p.Counter("repro_cluster_groups_dispatched_total", "Job-group dispatches to workers (retries included).", float64(m.GroupsDispatched))
 	p.Counter("repro_cluster_wire_bytes_total", "Body bytes shipped over the binary wire codecs.", float64(m.WireBytesTotal))
 
 	// Fleet: the summed counters of every worker that answered /metrics.

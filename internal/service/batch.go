@@ -371,7 +371,7 @@ func (r *BatchRun) Context() context.Context { return r.bt.ctx }
 // Dispatched records that cells idxs were handed out under ref, the handle
 // Batches.Cancel passes back to Executor.Cancel: a job ID on a single node,
 // "w<i>:<group>" on a coordinator. A cell's first dispatch counts toward
-// Submitted; a later one (a retry or a hedge) re-points a pending cell and
+// Submitted; a later one (a retry) re-points a pending cell and
 // leaves a settled one alone.
 func (r *BatchRun) Dispatched(idxs []int, ref string) {
 	bt := r.bt

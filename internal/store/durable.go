@@ -212,8 +212,9 @@ func (s *Store) snapshotLocked() error {
 }
 
 // Close flushes a final snapshot (so the next Open replays one record-free
-// snapshot instead of the whole log) and closes the WAL. Stores opened
-// without a WALDir close trivially.
+// snapshot instead of the whole log) and closes the WAL; from then on Put
+// and Delete fail with ErrClosed, while reads keep answering. Stores opened
+// without a WALDir close trivially and stay writable.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -223,6 +224,7 @@ func (s *Store) Close() error {
 	snapErr := s.snapshotLocked()
 	closeErr := s.wal.Close()
 	s.wal = nil
+	s.closed = true
 	if snapErr != nil && snapErr != wal.ErrCrashed {
 		return snapErr
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
 
@@ -110,6 +111,44 @@ func TestDurableStoreSnapshotCompaction(t *testing.T) {
 	}
 }
 
+// TestClosedDurableStoreRefusesWrites: once Close has run, the log can no
+// longer journal anything, so Put and Delete must fail instead of
+// acknowledging a change the next Open would not see.
+func TestClosedDurableStoreRefusesWrites(t *testing.T) {
+	cfg := durableCfg(t)
+	st, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Put("kept", Source{Graph: graph.GNP(20, 0.3, rng.New(5))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Put("late", Source{Graph: graph.GNP(20, 0.3, rng.New(6))}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Put after Close: err = %v, want ErrClosed", err)
+	}
+	if err := st.Delete("kept"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Delete after Close: err = %v, want ErrClosed", err)
+	}
+	if got := len(st.List()); got != 1 {
+		t.Fatalf("closed store lists %d names, want the 1 acknowledged", got)
+	}
+
+	st2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, ok := st2.Get("kept"); !ok {
+		t.Fatal("acknowledged name lost across reopen")
+	}
+	if _, ok := st2.Get("late"); ok {
+		t.Fatal("refused Put survived reopen")
+	}
+}
+
 func TestNonDurableStoreUnaffected(t *testing.T) {
 	st, err := Open(Config{MaxGraphs: 4})
 	if err != nil {
@@ -123,5 +162,12 @@ func TestNonDurableStoreUnaffected(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Without a log there is nothing for Close to seal: writes still work.
+	if _, _, err := st.Put("y", Source{Graph: graph.GNP(10, 0.5, rng.New(2))}); err != nil {
+		t.Fatalf("Put after Close on a non-durable store: %v", err)
+	}
+	if err := st.Delete("x"); err != nil {
+		t.Fatalf("Delete after Close on a non-durable store: %v", err)
 	}
 }

@@ -40,6 +40,9 @@ var (
 	ErrPinned   = errors.New("store: graph is pinned by a running batch")
 	ErrExists   = errors.New("store: name already bound to a different graph")
 	ErrFull     = errors.New("store: at capacity and every graph is pinned")
+	// ErrClosed refuses a Put or Delete on a closed durable store, which
+	// could no longer journal it.
+	ErrClosed = errors.New("store: closed")
 )
 
 // Config sizes the store. Zero values select defaults.
@@ -150,8 +153,11 @@ type Store struct {
 	mapped map[string]*graph.Graph
 	clock  uint64
 	// wal is the durability journal, nil for stores built with New or
-	// opened without a WALDir. Guarded by mu like everything else.
+	// opened without a WALDir, and once Close has run. Guarded by mu like
+	// everything else.
 	wal *wal.Log
+	// closed marks a durable store after Close: it refuses writes.
+	closed bool
 }
 
 // New returns an empty store. When cfg.SpillDir is set, the directory is
@@ -202,7 +208,8 @@ func ValidName(name string) error {
 // were already present (deduplicated against another name, or an idempotent
 // re-put of the same name with identical content). Re-putting a name with
 // different content fails with ErrExists: names are stable handles, not
-// mutable slots — delete first to rebind.
+// mutable slots — delete first to rebind. A closed durable store refuses
+// with ErrClosed.
 func (s *Store) Put(name string, src Source) (Info, bool, error) {
 	if err := ValidName(name); err != nil {
 		return Info{}, false, err
@@ -215,6 +222,9 @@ func (s *Store) Put(name string, src Source) (Info, bool, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return Info{}, false, ErrClosed
+	}
 	s.clock++
 	if rec, ok := s.names[name]; ok {
 		if rec.pl.fp != fp {
@@ -462,10 +472,14 @@ func (s *Store) Acquire(name string) (*graph.Graph, func(), error) {
 }
 
 // Delete removes the named graph. Pinned names refuse with ErrPinned; the
-// deduplicated payload is freed when its last name goes.
+// deduplicated payload is freed when its last name goes. A closed durable
+// store refuses with ErrClosed.
 func (s *Store) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	rec, ok := s.names[name]
 	if !ok {
 		if _, wasSpilled := s.spilled[name]; wasSpilled {
