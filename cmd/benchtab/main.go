@@ -25,9 +25,10 @@
 // -algos algorithm runs once per size over a sparse G(n, 8/n) instance (or
 // over one -load graph file), and each (algo, n) cell reports wall-clock,
 // allocations, peak RSS, rounds and messages. -comparescale gates a fresh
-// sweep against a committed record (BENCH_scale_baseline.json): rounds must
-// match exactly, allocations within -threshold percent; cells are matched by
-// (algo, n) so a CI subset run can gate against the full baseline.
+// sweep against a committed record (BENCH_scale_baseline.json): rounds and
+// messages must match exactly, allocations within -threshold percent; cells
+// are matched by (algo, n) so a CI subset run can gate against the full
+// baseline.
 //
 // Usage:
 //
@@ -126,7 +127,7 @@ func main() {
 	scale := flag.Bool("scale", false, "scaling-table mode: run each -algos algorithm once per -n size over sparse G(n, 8/n) instances; reports wall/allocs/peak-RSS/rounds/messages per cell")
 	algosFlag := flag.String("algos", "maxis,mwm2", "comma-separated algorithms for -scale mode")
 	loadPath := flag.String("load", "", "-scale mode: benchmark this graph file (.el/.txt/.mtx/.rgd1/.rgb1) instead of generating; overrides -n")
-	compareScale := flag.String("comparescale", "", "-scale mode: gate against this scale record — rounds must match exactly, allocs within -threshold; cells matched by (algo, n), unmatched cells skipped")
+	compareScale := flag.String("comparescale", "", "-scale mode: gate against this scale record — rounds and messages must match exactly, allocs within -threshold; cells matched by (algo, n), unmatched cells skipped")
 	flag.Parse()
 	if *trials < 1 {
 		log.Fatalf("trials must be ≥ 1, got %d", *trials)

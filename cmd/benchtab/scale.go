@@ -21,9 +21,9 @@ import (
 // wall-clock, allocation count, peak RSS, round count and message count per
 // (algo, n) cell. The record it writes (-out) is the single-worker scaling
 // baseline BENCH_scale_baseline.json; -comparescale gates fresh runs against
-// it: rounds must match exactly (the determinism contract — a changed round
-// count means the engine's schedule drifted) and allocs_per_run must stay
-// within -threshold percent. Cells are matched by (algo, n), and cells
+// it: rounds and messages must match exactly (the determinism contract — a
+// changed round or message count means the engine's schedule drifted) and
+// allocs_per_run must stay within -threshold percent. Cells are matched by (algo, n), and cells
 // present in only one record are reported but not gated, so CI can run a
 // small-size subset against the full committed baseline.
 
@@ -259,9 +259,9 @@ func compareScaleRecords(path string, cur *scaleRecord, threshold float64) error
 			continue
 		}
 		matched++
-		if p.Rounds != r.Rounds {
-			return fmt.Errorf("determinism drift: %s at n=%d ran %d rounds, baseline %d — regenerate the baseline only if the schedule change is intentional",
-				r.Algo, r.N, r.Rounds, p.Rounds)
+		if p.Rounds != r.Rounds || p.Messages != r.Messages {
+			return fmt.Errorf("determinism drift: %s at n=%d ran %d rounds and %d messages, baseline %d and %d — regenerate the baseline only if the schedule change is intentional",
+				r.Algo, r.N, r.Rounds, r.Messages, p.Rounds, p.Messages)
 		}
 		allocPct := pctDelta(float64(r.Allocs), float64(p.Allocs))
 		fmt.Printf("%-10s %10d %10d %10d %+7.1f%% %14d %14d %+8.1f%%\n",
@@ -277,6 +277,6 @@ func compareScaleRecords(path string, cur *scaleRecord, threshold float64) error
 		return fmt.Errorf("allocs_per_run regression: %s at n=%d is %.1f%% above the baseline (threshold %.1f%%)",
 			worst.algo, worst.n, worstPct, threshold)
 	}
-	fmt.Printf("%d cells gated: rounds exact, allocs within %.1f%% (worst %+.1f%%)\n", matched, threshold, worstPct)
+	fmt.Printf("%d cells gated: rounds and messages exact, allocs within %.1f%% (worst %+.1f%%)\n", matched, threshold, worstPct)
 	return nil
 }

@@ -7,7 +7,12 @@
 // f(X) = φ(f(X₁), f(X₂)) for any disjoint partition X₁ ∪ X₂ of the inputs
 // (Definition 2.5). Algorithms are expressed as Machines: per (virtual) node
 // state machines that publish O(log n)-bit Data each round and consume the
-// results of aggregate Queries over their live neighbors' Data.
+// results of aggregate Queries over their live neighbors' Data. A Query is a
+// declarative value, not code: an aggregate from a closed set, a guard of up
+// to MaxConds range conditions over Data fields, and a value that is a
+// constant or a function of one field. The runtimes fold it with loops
+// specialized per aggregate, and both endpoints of an edge evaluate it
+// identically.
 //
 // Three runtimes execute a Machine:
 //
@@ -36,10 +41,12 @@
 //   - Init fills a caller-provided Data vector of exactly Fields() elements
 //     (an arena view) instead of allocating one.
 //   - Queries appends to a caller-provided buffer and returns it. Because
-//     Queries must be pure in (info, t, data) anyway, machines precompute
-//     their query plans — including every Proj closure — once at construction
-//     and append plan slices, so the per-round cost is a memcpy of Query
-//     headers, never a closure allocation.
+//     Queries must be pure in (info, t, data) anyway, machines build their
+//     query plans once at construction, as arrays of declarative Query
+//     values (an aggregate, a guard over Data fields, a value), and append
+//     pointers to the entries (AppendPlan), so the per-round cost is copying
+//     8-byte references; no query is built, copied or compared by value
+//     per round.
 //   - Update may retain no slice it is handed: data and results are arena
 //     views that the runtime reuses the next round.
 //
@@ -91,103 +98,198 @@ func (d Data) Bits() int {
 	return b
 }
 
-// Aggregate is an order-invariant function with a joining function
-// (Definitions 2.4–2.5). Join must be associative and commutative with
-// Identity as neutral element, which makes any evaluation order — and any
-// disjoint partition of the inputs — produce the same result.
-type Aggregate interface {
-	Name() string
-	Identity() int64
-	Join(a, b int64) int64
-}
-
-type sumAgg struct{}
-
-func (sumAgg) Name() string          { return "sum" }
-func (sumAgg) Identity() int64       { return 0 }
-func (sumAgg) Join(a, b int64) int64 { return a + b }
-
-type minAgg struct{}
-
-func (minAgg) Name() string    { return "min" }
-func (minAgg) Identity() int64 { return math.MaxInt64 }
-func (minAgg) Join(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-type maxAgg struct{}
-
-func (maxAgg) Name() string    { return "max" }
-func (maxAgg) Identity() int64 { return math.MinInt64 }
-func (maxAgg) Join(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-type andAgg struct{}
-
-func (andAgg) Name() string    { return "and" }
-func (andAgg) Identity() int64 { return 1 }
-func (andAgg) Join(a, b int64) int64 {
-	if a != 0 && b != 0 {
-		return 1
-	}
-	return 0
-}
-
-type orAgg struct{}
-
-func (orAgg) Name() string    { return "or" }
-func (orAgg) Identity() int64 { return 0 }
-func (orAgg) Join(a, b int64) int64 {
-	if a != 0 || b != 0 {
-		return 1
-	}
-	return 0
-}
-
-type bitOrAgg struct{}
-
-func (bitOrAgg) Name() string          { return "bitor" }
-func (bitOrAgg) Identity() int64       { return 0 }
-func (bitOrAgg) Join(a, b int64) int64 { return a | b }
+// Aggregate names one of the order-invariant aggregate functions the
+// paper's algorithms use (Definitions 2.4–2.5). Each has a joining function
+// Join that is associative and commutative with Identity as neutral element,
+// which makes any evaluation order — and any disjoint partition of the
+// inputs — produce the same result. The set is closed: a runtime resolves
+// the aggregate once per fold and runs a loop specialized to it.
+type Aggregate uint8
 
 // The aggregate functions used by the paper's algorithms. "and"/"or" are the
-// Boolean aggregates of Observation 2.6; Sum is the weight-update aggregate
-// from the proof of Theorem 2.9; Min/Max implement priority comparisons.
-var (
-	Sum Aggregate = sumAgg{}
-	Min Aggregate = minAgg{}
-	Max Aggregate = maxAgg{}
-	And Aggregate = andAgg{}
-	Or  Aggregate = orAgg{}
-	// BitOr unions small bitmasks (≤ 63 bits per chunk); used by the coloring
-	// machines to learn which palette colors the neighborhood occupies.
-	BitOr Aggregate = bitOrAgg{}
+// Boolean aggregates of Observation 2.6 (any nonzero value counts as true);
+// Sum is the weight-update aggregate from the proof of Theorem 2.9; Min/Max
+// implement priority comparisons; BitOr unions small bitmasks (≤ 63 bits per
+// chunk), which the coloring machines use to learn which palette colors the
+// neighborhood occupies.
+const (
+	Sum Aggregate = iota
+	Min
+	Max
+	And
+	Or
+	BitOr
 )
 
-// Query asks for Agg over Proj(D_u) for every live neighbor u. Proj must be a
-// pure function of the neighbor's Data (it is evaluated independently at both
-// endpoints in the line-graph runtime). Construct Query values once, in a
-// machine's precomputed query plan — allocating Proj closures per round is
-// what the arena runtime exists to avoid.
-type Query struct {
-	Agg  Aggregate
-	Proj func(Data) int64
+var aggNames = [...]string{Sum: "sum", Min: "min", Max: "max", And: "and", Or: "or", BitOr: "bitor"}
+
+// Name returns the aggregate's lower-case name.
+func (a Aggregate) Name() string { return aggNames[a] }
+
+// Identity returns the aggregate's neutral element: the value of the
+// aggregate over an empty set.
+func (a Aggregate) Identity() int64 {
+	switch a {
+	case Min:
+		return math.MaxInt64
+	case Max:
+		return math.MinInt64
+	case And:
+		return 1
+	default: // Sum, Or, BitOr
+		return 0
+	}
 }
 
-// Eval evaluates q over the given neighbor data set.
-func (q Query) Eval(neighbors []Data) int64 {
+// Join is the joining function φ of Definition 2.5.
+func (a Aggregate) Join(x, y int64) int64 {
+	switch a {
+	case Sum:
+		return x + y
+	case Min:
+		if y < x {
+			return y
+		}
+		return x
+	case Max:
+		if y > x {
+			return y
+		}
+		return x
+	case And:
+		if x != 0 && y != 0 {
+			return 1
+		}
+		return 0
+	case Or:
+		if x != 0 || y != 0 {
+			return 1
+		}
+		return 0
+	default: // BitOr
+		return x | y
+	}
+}
+
+// MaxConds is the number of conditions a Guard can hold.
+const MaxConds = 3
+
+// Cond is the guard condition Lo ≤ d[Field] < Hi on a neighbor's Data d.
+type Cond struct {
+	Field  int
+	Lo, Hi int64
+}
+
+// Eq returns the condition d[field] == v.
+func Eq(field int, v int64) Cond { return Cond{Field: field, Lo: v, Hi: v + 1} }
+
+// Guard is a conjunction of up to MaxConds conditions. The zero Guard holds
+// for every element.
+type Guard struct {
+	n     uint8
+	conds [MaxConds]Cond
+}
+
+// Where returns the guard that holds when every condition does. More than
+// MaxConds conditions is a construction-time bug in a query plan and panics.
+func Where(conds ...Cond) Guard {
+	if len(conds) > MaxConds {
+		panic(fmt.Sprintf("agg: guard with %d conditions, at most %d fit", len(conds), MaxConds))
+	}
+	g := Guard{n: uint8(len(conds))}
+	copy(g.conds[:], conds)
+	return g
+}
+
+// valueKind selects how a Value is computed from a neighbor's Data d.
+type valueKind uint8
+
+// Value kinds; f is the Value's field index and k its constant.
+const (
+	constVal valueKind = iota // k
+	fieldVal                  // d[f]
+	shlVal                    // 1 << (d[f] − k)
+	shrVal                    // 1 << (k − d[f])
+)
+
+// Value is the per-element quantity a Query aggregates; build one with
+// Constant, Field, Bit or FixedPow2Neg. The zero Value is the constant 0.
+type Value struct {
+	kind valueKind
+	f    int
+	k    int64
+}
+
+// Constant returns the value k for every element.
+func Constant(k int64) Value { return Value{kind: constVal, k: k} }
+
+// Field returns the value d[f].
+func Field(f int) Value { return Value{kind: fieldVal, f: f} }
+
+// Bit returns the value 1 << (d[f] − k): a one-hot mask bit, as the coloring
+// machines publish palette occupancy.
+func Bit(f int, k int64) Value { return Value{kind: shlVal, f: f, k: k} }
+
+// FixedPow2Neg returns the value 1 << (k − d[f]): 2^−d[f] in fixed point
+// with k fraction bits.
+func FixedPow2Neg(f int, k int64) Value { return Value{kind: shrVal, f: f, k: k} }
+
+// Query asks for Agg over the live neighbors' Data: each neighbor d for
+// which Guard holds contributes Value(d), every other neighbor contributes
+// Else. Else is 0 unless set, which is the identity of Sum, Or and BitOr;
+// Max and Min queries may set a sentinel instead of their ±∞ identity.
+//
+// A Query is a comparable value over field indices (O(log n)-bit Data,
+// Definition 2.7), so both endpoints of an edge evaluate it identically in
+// the line-graph runtime. Machines build their plans once, as arrays of
+// Query, and hand the runtime pointers to the entries; the line runtime's
+// exchange-folding memo identifies a query by that address (memo.go).
+type Query struct {
+	Agg   Aggregate
+	Guard Guard
+	Value Value
+	Else  int64
+}
+
+// at returns the contribution of one neighbor's data d. The folds rely on
+// the compiler inlining it, so keep it within the inlining budget (check
+// with go build -gcflags=-m).
+func (q *Query) at(d Data) int64 {
+	for _, c := range q.Guard.conds[:q.Guard.n] {
+		if x := d[c.Field]; x < c.Lo || x >= c.Hi {
+			return q.Else
+		}
+	}
+	v := &q.Value
+	switch v.kind {
+	case fieldVal:
+		return d[v.f]
+	case shlVal:
+		return 1 << uint(d[v.f]-v.k)
+	case shrVal:
+		return 1 << uint(v.k-d[v.f])
+	}
+	return v.k // constVal
+}
+
+// Eval evaluates q over the given neighbor data set. It is the reference
+// definition the runtimes' specialized folds must agree with.
+func (q *Query) Eval(neighbors []Data) int64 {
 	acc := q.Agg.Identity()
 	for _, d := range neighbors {
-		acc = q.Agg.Join(acc, q.Proj(d))
+		acc = q.Agg.Join(acc, q.at(d))
 	}
 	return acc
+}
+
+// AppendPlan appends a pointer to each entry of plan to qs. Machines call it
+// from Queries with their precomputed plan arrays, so a round copies 8-byte
+// references, never Query values.
+func AppendPlan(qs []*Query, plan []Query) []*Query {
+	for i := range plan {
+		qs = append(qs, &plan[i])
+	}
+	return qs
 }
 
 // NodeInfo describes a virtual node to its Machine.
@@ -227,22 +329,23 @@ type NodeInfo struct {
 // Queries appends this round's queries to qs and returns the extended slice.
 // It must depend only on (info, t, data) — never on private state or
 // info.Rand — because the line-graph runtime re-evaluates it at the secondary
-// endpoint. Machines precompute their query plans (see the package comment)
-// and must append into qs rather than return internal slices, so the
+// endpoint. Machines append pointers into their precomputed plan arrays (see
+// the package comment); the entries must stay unchanged for the whole run,
+// and Queries must append into qs rather than return internal slices, so the
 // runtime's buffer is what grows to steady state.
 //
-// A machine that keeps all per-node state in the Data vector (every machine
-// in this repository does) may be shared across virtual nodes: build may
-// return the same instance for every node. Sharing makes the instance's
-// precomputed query plans shared too, which lets the line runtime answer the
-// "every live edge except me" partials of a whole real node from one
-// prefix/suffix fold per query (the [LPSR09] exchange-folding trick; see
-// memo.go) instead of one O(∆) fold per simulated edge. Shared machines must
-// be safe for concurrent method calls — stateless machines are.
+// A machine that keeps all per-node state in the Data vector may be shared
+// across virtual nodes: build may return the same instance for every node.
+// Sharing makes the instance's plan entries shared too — the same addresses
+// at every node — which lets the line runtime answer the "every live edge
+// except me" partials of a whole real node from one prefix/suffix fold per
+// query (the [LPSR09] exchange-folding trick; see memo.go) instead of one
+// O(∆) fold per simulated edge. Shared machines must be safe for concurrent
+// method calls — stateless machines are.
 type Machine interface {
 	Fields() int
 	Init(info *NodeInfo, data Data)
-	Queries(info *NodeInfo, t int, data Data, qs []Query) []Query
+	Queries(info *NodeInfo, t int, data Data, qs []*Query) []*Query
 	Update(info *NodeInfo, t int, data Data, results []int64) (halt bool, output any)
 }
 

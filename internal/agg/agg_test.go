@@ -11,7 +11,7 @@ import (
 )
 
 func TestAggregateLaws(t *testing.T) {
-	aggs := []Aggregate{Sum, Min, Max, And, Or}
+	aggs := []Aggregate{Sum, Min, Max, And, Or, BitOr}
 	for _, a := range aggs {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
@@ -54,7 +54,7 @@ func TestQueryOrderInvariance(t *testing.T) {
 	// Definition 2.4: f(x₁..xₙ) = f(x_π(1)..x_π(n)) for any permutation π.
 	r := rng.New(1)
 	for _, a := range []Aggregate{Sum, Min, Max, And, Or} {
-		q := Query{Agg: a, Proj: func(d Data) int64 { return d[0] }}
+		q := Query{Agg: a, Value: Field(0)}
 		data := make([]Data, 9)
 		for i := range data {
 			data[i] = Data{int64(r.Intn(5))}
@@ -77,7 +77,7 @@ func TestJoinOverPartitions(t *testing.T) {
 	// Definition 2.5: f(X) = φ(f(X₁), f(X₂)) for any disjoint partition.
 	r := rng.New(2)
 	for _, a := range []Aggregate{Sum, Min, Max, And, Or} {
-		q := Query{Agg: a, Proj: func(d Data) int64 { return d[0] }}
+		q := Query{Agg: a, Value: Field(0)}
 		data := make([]Data, 12)
 		for i := range data {
 			data[i] = Data{int64(r.Intn(3))}
@@ -122,14 +122,14 @@ func TestDataBits(t *testing.T) {
 // after one virtual round.
 type sumMachine struct{}
 
-var sumPlan = []Query{{Agg: Sum, Proj: func(d Data) int64 { return d[0] }}}
+var sumPlan = [1]Query{{Agg: Sum, Value: Field(0)}}
 
 func (sumMachine) Fields() int { return 1 }
 
 func (sumMachine) Init(info *NodeInfo, data Data) { data[0] = info.Weight }
 
-func (sumMachine) Queries(info *NodeInfo, t int, data Data, qs []Query) []Query {
-	return append(qs, sumPlan...)
+func (sumMachine) Queries(info *NodeInfo, t int, data Data, qs []*Query) []*Query {
+	return AppendPlan(qs, sumPlan[:])
 }
 
 func (sumMachine) Update(info *NodeInfo, t int, data Data, results []int64) (bool, any) {
@@ -165,15 +165,13 @@ type chaosMachine struct {
 	digest int64
 }
 
-var chaosPlan = []Query{
-	{Agg: Max, Proj: func(d Data) int64 { return d[0] }},
-	{Agg: Sum, Proj: func(d Data) int64 { return d[0] + d[1] }},
-	{Agg: Or, Proj: func(d Data) int64 {
-		if d[0]%3 == 0 {
-			return 1
-		}
-		return 0
-	}},
+// chaosPlan's two Sum queries together aggregate d[0]+d[1]; the Or asks
+// whether a neighbor drew d[0] < 22, about a third of the range [0, 64).
+var chaosPlan = [4]Query{
+	{Agg: Max, Value: Field(0)},
+	{Agg: Sum, Value: Field(0)},
+	{Agg: Sum, Value: Field(1)},
+	{Agg: Or, Guard: Where(Cond{Field: 0, Lo: 0, Hi: 22}), Value: Constant(1)},
 }
 
 func (m *chaosMachine) Fields() int { return 2 }
@@ -183,8 +181,8 @@ func (m *chaosMachine) Init(info *NodeInfo, data Data) {
 	data[1] = info.Weight
 }
 
-func (m *chaosMachine) Queries(info *NodeInfo, t int, data Data, qs []Query) []Query {
-	return append(qs, chaosPlan...)
+func (m *chaosMachine) Queries(info *NodeInfo, t int, data Data, qs []*Query) []*Query {
+	return AppendPlan(qs, chaosPlan[:])
 }
 
 func (m *chaosMachine) Update(info *NodeInfo, t int, data Data, results []int64) (bool, any) {
@@ -195,7 +193,7 @@ func (m *chaosMachine) Update(info *NodeInfo, t int, data Data, results []int64)
 		return true, m.digest
 	}
 	data[0] = int64(info.Rand.Intn(64))
-	data[1] = (data[1]*7 + results[1]) % 1009
+	data[1] = (data[1]*7 + results[1] + results[2]) % 1009
 	if data[1] < 0 {
 		data[1] += 1009
 	}
@@ -280,9 +278,9 @@ type leaderMachine struct {
 	won bool
 }
 
-var leaderPlan = []Query{
-	{Agg: Max, Proj: func(d Data) int64 { return d[0] }},
-	{Agg: Or, Proj: func(d Data) int64 { return d[1] }},
+var leaderPlan = [2]Query{
+	{Agg: Max, Value: Field(0)},
+	{Agg: Or, Value: Field(1)},
 }
 
 func (m *leaderMachine) Fields() int { return 2 } // key, wonFlag
@@ -292,8 +290,8 @@ func (m *leaderMachine) Init(info *NodeInfo, data Data) {
 	data[1] = 0
 }
 
-func (m *leaderMachine) Queries(info *NodeInfo, t int, data Data, qs []Query) []Query {
-	return append(qs, leaderPlan...)
+func (m *leaderMachine) Queries(info *NodeInfo, t int, data Data, qs []*Query) []*Query {
+	return AppendPlan(qs, leaderPlan[:])
 }
 
 func (m *leaderMachine) Update(info *NodeInfo, t int, data Data, results []int64) (bool, any) {
@@ -374,7 +372,7 @@ type badMachine struct{}
 
 func (badMachine) Fields() int          { return -1 }
 func (badMachine) Init(*NodeInfo, Data) {}
-func (badMachine) Queries(_ *NodeInfo, _ int, _ Data, qs []Query) []Query {
+func (badMachine) Queries(_ *NodeInfo, _ int, _ Data, qs []*Query) []*Query {
 	return qs
 }
 func (badMachine) Update(*NodeInfo, int, Data, []int64) (bool, any) { return true, nil }

@@ -5,9 +5,11 @@ package agg
 // a short and a long horizon and pins the allocation cost of the extra
 // virtual rounds to (effectively) zero — arenas, pooled messages, and query
 // buffers are all sized during the first rounds and reused, so additional
-// rounds must not allocate. Whole-run allocation counts (arenas, automata,
-// RNG streams) scale with the graph, not the round count, and are not
-// pinned here; cmd/benchtab -compare gates those end to end.
+// rounds must not allocate. RunDirect goes further: every per-node buffer
+// and RNG stream is carved from a run-wide slab, so its whole-run count does
+// not grow with the graph either (TestRunDirectWholeRunAllocsFlat). The line
+// runtime's exchange-folding memo still grows a few buffers per node, so its
+// whole-run count is gated end to end by cmd/benchtab -compare instead.
 
 import (
 	"testing"
@@ -91,5 +93,52 @@ func TestRunLineNaiveSteadyStateAllocs(t *testing.T) {
 	// *virtual* round: relay queues and receive buckets are reused too.
 	if per > steadyStateBudget {
 		t.Errorf("RunLineNaive allocates %.2f/round in steady state, budget %v", per, steadyStateBudget)
+	}
+}
+
+// floodMachine spreads the maximum initial key for six rounds, then halts
+// reporting whether it holds a positive key. It keeps all state in its Data
+// vector ([key, rounds left]), so one instance serves every node, and its
+// output is a bool, which boxes without allocating: the run allocates
+// nothing per node on the machine's behalf.
+type floodMachine struct{}
+
+var floodPlan = [1]Query{{Agg: Max, Value: Field(0)}}
+
+func (floodMachine) Fields() int { return 2 }
+
+func (floodMachine) Init(info *NodeInfo, data Data) {
+	data[0] = int64(info.Rand.Intn(1 << 20))
+	data[1] = 6
+}
+
+func (floodMachine) Queries(info *NodeInfo, t int, data Data, qs []*Query) []*Query {
+	return AppendPlan(qs, floodPlan[:])
+}
+
+func (floodMachine) Update(info *NodeInfo, t int, data Data, results []int64) (bool, any) {
+	data[0] = max(data[0], results[0])
+	data[1]--
+	return data[1] == 0, data[0] > 0
+}
+
+// TestRunDirectWholeRunAllocsFlat pins RunDirect's whole-run allocation
+// count — arenas, slabs, stream arena, engine set-up, outputs — as equal at
+// two graph sizes a hundredfold apart: nothing is allocated per node.
+func TestRunDirectWholeRunAllocsFlat(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; budgets only hold unraced")
+	}
+	allocs := func(n int) float64 {
+		g := graph.GNPSparse(n, 8/float64(n), rng.New(uint64(n)))
+		return testing.AllocsPerRun(3, func() {
+			if _, err := RunDirect(g, simul.Config{Seed: 5}, func(v int) Machine { return floodMachine{} }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(96), allocs(9600)
+	if small != large {
+		t.Errorf("RunDirect allocates %.0f times at n=96 but %.0f at n=9600; want equal", small, large)
 	}
 }

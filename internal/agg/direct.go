@@ -15,14 +15,14 @@ import (
 // The node owns no per-round allocations: data and the two broadcast
 // snapshots are views into a run-wide arena, the broadcast messages are a
 // double-buffered pair (the copy delivered for round r+1 is read while the
-// copy for round r+2 is written), and the query/result buffers grow to a
-// steady size during the first rounds and are reused thereafter.
+// copy for round r+2 is written), and the query, result and neighbor-data
+// buffers are capacity-clipped views of run-wide slabs.
 type directNode struct {
 	m    Machine
 	info *NodeInfo
 	data Data
 	msgs [2]dataMsg // round-parity double buffer; fields are arena views
-	qbuf []Query
+	qbuf []*Query
 	rbuf []int64
 	nbuf []Data // live neighbors' data for the round, for branch-free folds
 }
@@ -46,8 +46,8 @@ func (a *directNode) Step(ctx *simul.Context, inbox []simul.Envelope) {
 		a.nbuf = append(a.nbuf, env.Msg.(*dataMsg).fields)
 	}
 	a.rbuf = a.rbuf[:0]
-	for qi := range a.qbuf {
-		a.rbuf = append(a.rbuf, foldExcept(&a.qbuf[qi], a.nbuf, -1))
+	for _, q := range a.qbuf {
+		a.rbuf = append(a.rbuf, foldExcept(q, a.nbuf, -1))
 	}
 	halt, output := a.m.Update(a.info, t, a.data, a.rbuf)
 	if halt {
@@ -73,8 +73,17 @@ func RunDirect(g *graph.Graph, cfg simul.Config, build func(v int) Machine) (*Re
 		totalFields += f
 	}
 	// One arena carve per node: the live Data vector plus the two broadcast
-	// snapshots, all adjacent for locality.
+	// snapshots, all adjacent for locality. The query and result buffers are
+	// sized like RunLine's: machines ask about Fields() queries per round in
+	// the common case, and a node hears at most Degree() neighbors. Each view
+	// is capacity-clipped (three-index slices), so a machine that out-queries
+	// the estimate reallocates privately instead of bleeding into its
+	// neighbor's slab.
 	arena := make([]int64, 3*totalFields)
+	rSlab := make([]int64, totalFields)
+	qSlab := make([]*Query, totalFields)
+	offsets, _, _ := g.CSR()
+	nSlab := make([]Data, offsets[n])
 	infos := make([]NodeInfo, n)
 	streams := make([]rng.Stream, n)
 	master := rng.New(cfg.Seed)
@@ -91,10 +100,13 @@ func RunDirect(g *graph.Graph, cfg simul.Config, build func(v int) Machine) (*Re
 			Rand:   &streams[v],
 		}
 		nd.info = &infos[v]
-		nd.data = arena[off : off+f : off+f]
-		nd.msgs[0].fields = arena[off+f : off+2*f : off+2*f]
-		nd.msgs[1].fields = arena[off+2*f : off+3*f : off+3*f]
-		off += 3 * f
+		nd.data = arena[3*off : 3*off+f : 3*off+f]
+		nd.msgs[0].fields = arena[3*off+f : 3*off+2*f : 3*off+2*f]
+		nd.msgs[1].fields = arena[3*off+2*f : 3*off+3*f : 3*off+3*f]
+		nd.rbuf = rSlab[off : off : off+f]
+		nd.qbuf = qSlab[off : off : off+f]
+		nd.nbuf = nSlab[offsets[v]:offsets[v]:offsets[v+1]]
+		off += f
 		nd.m.Init(nd.info, nd.data)
 	}
 	res, err := simul.Run(g, cfg, func(v int) simul.Automaton { return &nodes[v] })
@@ -107,13 +119,6 @@ func RunDirect(g *graph.Graph, cfg simul.Config, build func(v int) Machine) (*Re
 		Metrics:       res.Metrics,
 	}
 	return out, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // checkQueryCount guards against machines that change their query count

@@ -1,120 +1,72 @@
 package agg
 
-import "math"
-
 // Specialized aggregate folding. The runtimes spend almost all their time
-// folding one query over the Data of up to ∆ neighbors; going through the
-// Aggregate interface costs an indirect call per neighbor per query. Every
-// aggregate the package exports is one of six concrete ops, so the hot loops
-// resolve the op once per query and run a branch-free specialized loop; an
-// unknown (caller-supplied) Aggregate falls back to the generic path.
+// folding one query over the Data of up to ∆ neighbors. The aggregate set is
+// closed, so every fold switches on the aggregate once and runs a loop
+// specialized to it, with the query's guard and value inlined — no indirect
+// call per element.
 
-type aggOp uint8
-
-const (
-	opSum aggOp = iota
-	opMin
-	opMax
-	opAnd
-	opOr
-	opBitOr
-	opGeneric
-)
-
-func opOf(a Aggregate) aggOp {
-	switch a {
-	case Sum:
-		return opSum
-	case Min:
-		return opMin
-	case Max:
-		return opMax
-	case And:
-		return opAnd
-	case Or:
-		return opOr
-	case BitOr:
-		return opBitOr
-	default:
-		return opGeneric
+// project writes q's value for each element of data into row, which must
+// have room for len(data) values, and returns row[:len(data)]. Each element
+// is projected exactly once.
+func (q *Query) project(row []int64, data []Data) []int64 {
+	row = row[:len(data)]
+	for j, d := range data {
+		row[j] = q.at(d)
 	}
+	return row
 }
 
 // foldExcept evaluates q over data, skipping index skip (pass -1 to fold
-// everything). Evaluation order is ascending index, matching Query.Eval, and
-// every element is projected exactly once — projections are pure by contract,
-// but the runtimes still avoid observable short-circuit differences.
+// everything). It agrees with Query.Eval over data minus the skipped element.
 func foldExcept(q *Query, data []Data, skip int) int64 {
-	switch opOf(q.Agg) {
-	case opSum:
+	switch q.Agg {
+	case Sum:
 		var acc int64
-		for j := range data {
-			if j == skip {
-				continue
+		for j, d := range data {
+			if j != skip {
+				acc += q.at(d)
 			}
-			acc += q.Proj(data[j])
 		}
 		return acc
-	case opMin:
-		acc := int64(math.MaxInt64)
-		for j := range data {
-			if j == skip {
-				continue
-			}
-			if v := q.Proj(data[j]); v < acc {
+	case Min:
+		acc := Min.Identity()
+		for j, d := range data {
+			if v := q.at(d); j != skip && v < acc {
 				acc = v
 			}
 		}
 		return acc
-	case opMax:
-		acc := int64(math.MinInt64)
-		for j := range data {
-			if j == skip {
-				continue
-			}
-			if v := q.Proj(data[j]); v > acc {
+	case Max:
+		acc := Max.Identity()
+		for j, d := range data {
+			if v := q.at(d); j != skip && v > acc {
 				acc = v
 			}
 		}
 		return acc
-	case opAnd:
+	case And:
 		acc := int64(1)
-		for j := range data {
-			if j == skip {
-				continue
-			}
-			if q.Proj(data[j]) == 0 {
+		for j, d := range data {
+			if j != skip && q.at(d) == 0 {
 				acc = 0
 			}
 		}
 		return acc
-	case opOr:
+	case Or:
 		var acc int64
-		for j := range data {
-			if j == skip {
-				continue
-			}
-			if q.Proj(data[j]) != 0 {
+		for j, d := range data {
+			if j != skip && q.at(d) != 0 {
 				acc = 1
 			}
 		}
 		return acc
-	case opBitOr:
+	default: // BitOr
 		var acc int64
-		for j := range data {
-			if j == skip {
-				continue
+		for j, d := range data {
+			if j != skip {
+				acc |= q.at(d)
 			}
-			acc |= q.Proj(data[j])
-		}
-		return acc
-	default:
-		acc := q.Agg.Identity()
-		for j := range data {
-			if j == skip {
-				continue
-			}
-			acc = q.Agg.Join(acc, q.Proj(data[j]))
 		}
 		return acc
 	}

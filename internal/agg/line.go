@@ -62,7 +62,7 @@ type lineEdgeState struct {
 type lineNode struct {
 	states   []lineEdgeState // arena view: this node's CSR arc segment
 	outputs  []any           // shared, indexed by edge ID; primaries write
-	qbuf     []Query         // reusable query plan buffer
+	qbuf     []*Query        // reusable query plan buffer
 	rbuf     []int64         // reusable result buffer (all states, B round)
 	liveData []Data          // dense live states' data, for branch-free folds
 	memo     foldMemo        // exchange-folding memo over liveData
@@ -97,9 +97,9 @@ func (a *lineNode) fail(ctx *simul.Context, err error) {
 // endpoint's other live incident edges. The liveness and data snapshots must
 // predate any Update of the current virtual round, so callers run it before
 // mutating anything.
-func (a *lineNode) sidePartials(st *lineEdgeState, queries []Query, out []int64) []int64 {
-	for qi := range queries {
-		out = append(out, a.memo.partial(&queries[qi], a.liveData, int(st.liveIdx)))
+func (a *lineNode) sidePartials(st *lineEdgeState, queries []*Query, out []int64) []int64 {
+	for _, q := range queries {
+		out = append(out, a.memo.partial(q, a.liveData, int(st.liveIdx)))
 	}
 	return out
 }
@@ -189,8 +189,7 @@ func (a *lineNode) Step(ctx *simul.Context, inbox []simul.Envelope) {
 		}
 		st.resOff = int32(len(a.rbuf))
 		st.resLen = int32(len(a.qbuf))
-		for qi := range a.qbuf {
-			q := &a.qbuf[qi]
+		for qi, q := range a.qbuf {
 			mine := a.memo.partial(q, a.liveData, int(st.liveIdx))
 			a.rbuf = append(a.rbuf, q.Agg.Join(mine, secondary.vals[qi]))
 		}
@@ -295,14 +294,15 @@ func RunLine(g *graph.Graph, cfg simul.Config, build func(edgeID int) Machine) (
 	outputs := make([]any, g.M())
 	nodes := make([]lineNode, n)
 	// Pre-size each node's reusable buffers from CSR stats instead of
-	// letting them grow by append over the first rounds: liveData never
-	// exceeds the node's degree, rbuf holds one result per query of the
-	// node's primary states (machines query Fields() values per round in
-	// the common case), and qbuf is reused one state at a time, so its high
-	// water is the node's largest Fields(). Three slabs, three allocations
-	// total; each node's view is capacity-clipped (three-index slices), so
-	// a machine that out-queries the estimate reallocates privately instead
-	// of bleeding into its neighbor's slab.
+	// letting them grow by append over the first rounds: liveData and the
+	// memo's projection row never exceed the node's degree, rbuf holds one
+	// result per query of the node's primary states (machines query
+	// Fields() values per round in the common case), and qbuf is reused one
+	// state at a time, so its high water is the node's largest Fields().
+	// Four slabs, four allocations total; each node's view is
+	// capacity-clipped (three-index slices), so a machine that out-queries
+	// the estimate reallocates privately instead of bleeding into its
+	// neighbor's slab.
 	rOff := make([]int, n+1)
 	qOff := make([]int, n+1)
 	for v := 0; v < n; v++ {
@@ -320,13 +320,15 @@ func RunLine(g *graph.Graph, cfg simul.Config, build func(edgeID int) Machine) (
 		qOff[v+1] = qOff[v] + maxF
 	}
 	liveSlab := make([]Data, len(states))
+	rowSlab := make([]int64, len(states))
 	rSlab := make([]int64, rOff[n])
-	qSlab := make([]Query, qOff[n])
+	qSlab := make([]*Query, qOff[n])
 	res, err := simul.Run(g, cfg, func(v int) simul.Automaton {
 		lo, hi := int(offsets[v]), int(offsets[v+1])
 		nodes[v].states = states[lo:hi]
 		nodes[v].outputs = outputs
 		nodes[v].liveData = liveSlab[lo:lo:hi]
+		nodes[v].memo.row = rowSlab[lo:hi:hi]
 		nodes[v].rbuf = rSlab[rOff[v]:rOff[v]:rOff[v+1]]
 		nodes[v].qbuf = qSlab[qOff[v]:qOff[v]:qOff[v+1]]
 		return &nodes[v]

@@ -1,234 +1,154 @@
 package agg
 
-import "unsafe"
-
 // Exchange folding (the suffix-sum trick of [LPSR09]): a node simulating d
 // edges evaluates each state's queries over the data of its d-1 other live
-// states — O(d²·q) projection calls per round if done directly. But most
-// query plans are shared: the paper's machines precompute them once (often at
-// package level), so many states of one node ask the *same* (Agg, Proj)
-// query over the same live-data list, each excluding only itself. For such a
-// query the node builds prefix and suffix folds once —
+// states — O(d²·q) projections per round if done directly. But machines
+// build their query plans once, as arrays, and hand every state pointers to
+// the entries, so many states of one node ask the *same* query over the same
+// live-data list, each excluding only itself. For such a query the node folds
+// once forward and once backward —
 //
 //	pre[i] = f(liveData[0..i))    suf[i] = f(liveData[i..d))
 //
-// — and answers every state's "all except me" partial as
-// φ(pre[i], suf[i+1]) in O(1), which is exact for any joining function φ
-// (Definition 2.5 demands associativity and commutativity). Queries are
-// identified by aggregate identity plus the Proj closure's funcval pointer:
-// two func values behave identically if they are the same closure object,
-// which precomputed plans guarantee.
+// — and stores every state's "all except me" partial φ(pre[i], suf[i+1]),
+// which is exact for any joining function φ (Definition 2.5 demands
+// associativity and commutativity); each later ask is one indexed load.
 //
-// The memo is promotion-based so singleton queries (per-instance closures
-// like Luby's, asked once per node) never pay the 2× build cost: the first
-// sighting folds directly and records the key; only a second sighting builds
-// the prefix/suffix entry. Entries and keys are capped, and everything is
-// reused across rounds, so the memo allocates only while growing to steady
-// state.
+// An entry is keyed by the plan entry's address: plan entries stay unchanged
+// for the whole run, so one address is one query. The first time a round asks
+// a query the memo builds its entry, projecting each live element once into a
+// per-node scratch row and running both folds over plain ints. Entries are
+// capped at memoPlanCap per node per round (a query asked past the cap folds
+// directly), and every buffer is reused across rounds, so the memo allocates
+// only while growing to steady state.
 
-const (
-	memoPlanCap = 8  // max prefix/suffix entries per node per round
-	memoSeenCap = 16 // max once-seen keys tracked per node per round
-)
+const memoPlanCap = 8 // max prefix/suffix entries per node per round
 
-// projID returns the Proj closure's funcval pointer, the identity under
-// which query plans are shared.
-func projID(f func(Data) int64) uintptr {
-	return uintptr(*(*unsafe.Pointer)(unsafe.Pointer(&f)))
-}
-
-// planKey identifies a query: the Proj closure pointer plus the aggregate.
-// Scans compare the pointer first — it almost always decides — so the
-// aggregate interface comparison (a runtime call) runs at most once per
-// lookup, and the opcode is resolved only when an entry is built.
-type planKey struct {
-	agg  Aggregate
-	proj uintptr
-}
-
-func (k planKey) matches(o planKey) bool {
-	return k.proj == o.proj && k.agg == o.agg
-}
-
+// partialPlan is one memo entry: ex[0] is q folded over every live element,
+// ex[i+1] the fold over all but element i.
 type partialPlan struct {
-	key planKey
-	op  aggOp
-	pre []int64 // len(liveData)+1 each, reused across rounds
-	suf []int64
+	q  *Query
+	ex []int64 // len(liveData)+1, reused across rounds
 }
 
 // foldMemo is one node's per-round exchange-folding state. hits/misses are
-// run-lifetime telemetry counters (a hit answers from an existing
-// prefix/suffix entry in O(1); a miss builds an entry or folds directly);
-// they live here — in the per-node state that is already arena-allocated —
-// so counting costs one increment and no allocation or sharing.
+// run-lifetime telemetry counters (a hit answers from an existing entry in
+// O(1); a miss builds an entry or folds directly); they live here — in the
+// per-node state that is already arena-allocated — so counting costs one
+// increment and no allocation or sharing.
 type foldMemo struct {
 	plans  []partialPlan
 	nplan  int
-	seen   []planKey
+	row    []int64 // scratch: one projection per live element
 	hits   uint64
 	misses uint64
 }
 
 // reset invalidates the memo for a new virtual round (the live-data list or
 // the underlying Data values changed). Entry buffers stay allocated.
-func (m *foldMemo) reset() {
-	m.nplan = 0
-	m.seen = m.seen[:0]
-}
+func (m *foldMemo) reset() { m.nplan = 0 }
 
-func opIdentity(op aggOp, agg Aggregate) int64 {
-	switch op {
-	case opSum, opOr, opBitOr:
-		return 0
-	case opMin:
-		return Min.Identity()
-	case opMax:
-		return Max.Identity()
-	case opAnd:
-		return 1
-	default:
-		return agg.Identity()
-	}
-}
-
-func opJoin(op aggOp, agg Aggregate, a, b int64) int64 {
-	switch op {
-	case opSum:
-		return a + b
-	case opMin:
-		if a < b {
-			return a
-		}
-		return b
-	case opMax:
-		if a > b {
-			return a
-		}
-		return b
-	case opAnd:
-		if a != 0 && b != 0 {
-			return 1
-		}
-		return 0
-	case opOr:
-		if a != 0 || b != 0 {
-			return 1
-		}
-		return 0
-	case opBitOr:
-		return a | b
-	default:
-		return agg.Join(a, b)
-	}
-}
-
-// build fills the prefix/suffix folds of q over data, projecting each
-// element exactly twice with the join specialized outside the loops.
-func (p *partialPlan) build(q *Query, data []Data) {
-	n := len(data)
-	if cap(p.pre) < n+1 {
-		p.pre = make([]int64, n+1)
-	}
-	if cap(p.suf) < n+1 {
-		p.suf = make([]int64, n+1)
-	}
-	p.pre = p.pre[:n+1]
-	p.suf = p.suf[:n+1]
-	id := opIdentity(p.op, p.key.agg)
-	p.pre[0] = id
-	p.suf[n] = id
-	switch p.op {
-	case opSum:
-		for j := 0; j < n; j++ {
-			p.pre[j+1] = p.pre[j] + q.Proj(data[j])
-		}
-		for j := n - 1; j >= 0; j-- {
-			p.suf[j] = q.Proj(data[j]) + p.suf[j+1]
-		}
-	case opMin:
-		for j := 0; j < n; j++ {
-			if v := q.Proj(data[j]); v < p.pre[j] {
-				p.pre[j+1] = v
-			} else {
-				p.pre[j+1] = p.pre[j]
-			}
-		}
-		for j := n - 1; j >= 0; j-- {
-			if v := q.Proj(data[j]); v < p.suf[j+1] {
-				p.suf[j] = v
-			} else {
-				p.suf[j] = p.suf[j+1]
-			}
-		}
-	case opMax:
-		for j := 0; j < n; j++ {
-			if v := q.Proj(data[j]); v > p.pre[j] {
-				p.pre[j+1] = v
-			} else {
-				p.pre[j+1] = p.pre[j]
-			}
-		}
-		for j := n - 1; j >= 0; j-- {
-			if v := q.Proj(data[j]); v > p.suf[j+1] {
-				p.suf[j] = v
-			} else {
-				p.suf[j] = p.suf[j+1]
-			}
-		}
-	case opBitOr:
-		for j := 0; j < n; j++ {
-			p.pre[j+1] = p.pre[j] | q.Proj(data[j])
-		}
-		for j := n - 1; j >= 0; j-- {
-			p.suf[j] = q.Proj(data[j]) | p.suf[j+1]
-		}
-	default: // opAnd, opOr, opGeneric
-		for j := 0; j < n; j++ {
-			p.pre[j+1] = opJoin(p.op, p.key.agg, p.pre[j], q.Proj(data[j]))
-		}
-		for j := n - 1; j >= 0; j-- {
-			p.suf[j] = opJoin(p.op, p.key.agg, q.Proj(data[j]), p.suf[j+1])
-		}
-	}
-}
-
-// partial returns q folded over data excluding index skip, memoizing
-// prefix/suffix folds for queries seen more than once this round. Key scans
-// compare the closure pointer before the aggregate: the pointer almost
-// always decides, and comparing interfaces costs a runtime call.
+// partial returns q folded over data excluding index skip (-1 excludes
+// nothing). The first ask of a round builds q's entry; later asks of the same
+// plan entry answer from it.
 func (m *foldMemo) partial(q *Query, data []Data, skip int) int64 {
-	key := planKey{agg: q.Agg, proj: projID(q.Proj)}
 	for k := 0; k < m.nplan; k++ {
-		p := &m.plans[k]
-		if p.key.matches(key) {
+		if p := &m.plans[k]; p.q == q {
 			m.hits++
-			return opJoin(p.op, key.agg, p.pre[skip], p.suf[skip+1])
+			return p.ex[skip+1]
 		}
 	}
 	m.misses++
-	for k := range m.seen {
-		if !m.seen[k].matches(key) {
-			continue
-		}
-		if m.nplan >= memoPlanCap {
-			return foldExcept(q, data, skip)
-		}
-		// Second sighting: promote to a prefix/suffix entry.
-		m.seen[k] = m.seen[len(m.seen)-1]
-		m.seen = m.seen[:len(m.seen)-1]
-		if m.nplan == len(m.plans) {
-			m.plans = append(m.plans, partialPlan{})
-		}
-		p := &m.plans[m.nplan]
-		m.nplan++
-		p.key = key
-		p.op = opOf(q.Agg)
-		p.build(q, data)
-		return opJoin(p.op, key.agg, p.pre[skip], p.suf[skip+1])
+	if m.nplan == memoPlanCap {
+		return foldExcept(q, data, skip)
 	}
-	if len(m.seen) < memoSeenCap {
-		m.seen = append(m.seen, key)
+	if m.nplan == len(m.plans) {
+		m.plans = append(m.plans, partialPlan{})
 	}
-	return foldExcept(q, data, skip)
+	p := &m.plans[m.nplan]
+	m.nplan++
+	p.q = q
+	if cap(m.row) < len(data) {
+		m.row = make([]int64, len(data))
+	}
+	p.build(q.project(m.row, data), q.Agg)
+	return p.ex[skip+1]
+}
+
+// build fills the entry from the projected row: a forward pass leaves
+// pre[i] in ex[i+1] and the whole fold in ex[0], then a backward pass joins
+// each ex[i+1] with the running suffix.
+func (p *partialPlan) build(row []int64, a Aggregate) {
+	n := len(row)
+	if cap(p.ex) < n+1 {
+		p.ex = make([]int64, n+1)
+	}
+	ex := p.ex[:n+1]
+	id := a.Identity()
+	acc, suf := id, id
+	switch a {
+	case Sum:
+		for j, v := range row {
+			ex[j+1] = acc
+			acc += v
+		}
+		for j := n - 1; j >= 0; j-- {
+			ex[j+1] += suf
+			suf += row[j]
+		}
+	case Min:
+		for j, v := range row {
+			ex[j+1] = acc
+			acc = min(acc, v)
+		}
+		for j := n - 1; j >= 0; j-- {
+			ex[j+1] = min(ex[j+1], suf)
+			suf = min(suf, row[j])
+		}
+	case Max:
+		for j, v := range row {
+			ex[j+1] = acc
+			acc = max(acc, v)
+		}
+		for j := n - 1; j >= 0; j-- {
+			ex[j+1] = max(ex[j+1], suf)
+			suf = max(suf, row[j])
+		}
+	case BitOr:
+		for j, v := range row {
+			ex[j+1] = acc
+			acc |= v
+		}
+		for j := n - 1; j >= 0; j-- {
+			ex[j+1] |= suf
+			suf |= row[j]
+		}
+	case And: // acc, suf and the stored prefixes are 0 or 1
+		for j, v := range row {
+			ex[j+1] = acc
+			if v == 0 {
+				acc = 0
+			}
+		}
+		for j := n - 1; j >= 0; j-- {
+			ex[j+1] &= suf
+			if row[j] == 0 {
+				suf = 0
+			}
+		}
+	default: // Or, with the same 0/1 invariant
+		for j, v := range row {
+			ex[j+1] = acc
+			if v != 0 {
+				acc = 1
+			}
+		}
+		for j := n - 1; j >= 0; j-- {
+			ex[j+1] |= suf
+			if row[j] != 0 {
+				suf = 1
+			}
+		}
+	}
+	ex[0] = acc
 }

@@ -28,7 +28,7 @@ type naiveNode struct {
 	relayR   int // relay rounds per virtual round
 	states   []lineEdgeState
 	outputs  []any // shared, indexed by edge ID; primaries write
-	qbuf     []Query
+	qbuf     []*Query
 	rbuf     []int64
 	liveData []Data // dense live states' data, rebuilt at phase 0
 
@@ -162,8 +162,7 @@ func (a *naiveNode) Step(ctx *simul.Context, inbox []simul.Envelope) {
 		a.qbuf = st.m.Queries(st.info, t, st.data, a.qbuf[:0])
 		st.resOff = int32(len(a.rbuf))
 		st.resLen = int32(len(a.qbuf))
-		for qi := range a.qbuf {
-			q := &a.qbuf[qi]
+		for _, q := range a.qbuf {
 			acc := foldExcept(q, a.liveData, int(st.liveIdx))
 			acc = q.Agg.Join(acc, foldExcept(q, a.recv[i], -1))
 			a.rbuf = append(a.rbuf, acc)

@@ -83,33 +83,25 @@ func (m *paletteMachine) Fields() int { return 3 }
 // palettePlan precomputes the per-round query set for the given palette size:
 // per 62-bit palette chunk one BitOr mask of undecided neighbors' proposals
 // and one of decided neighbors' fixed colors, plus an And over the decided
-// flags. The closures capture only the chunk bounds, so the plan is immutable
-// and safely shared across machines.
+// flags. The plan is immutable and shared by every machine of a run.
 func palettePlan(palette int) []agg.Query {
 	chunks := (palette + chunkBits - 1) / chunkBits
 	qs := make([]agg.Query, 0, 2*chunks+1)
 	for c := 0; c < chunks; c++ {
 		lo := int64(c * chunkBits)
 		hi := lo + chunkBits
-		// Candidates proposed by undecided neighbors this round.
-		qs = append(qs, agg.Query{Agg: agg.BitOr, Proj: func(nd agg.Data) int64 {
-			if nd[0] == 0 && nd[1] >= lo && nd[1] < hi {
-				return 1 << uint(nd[1]-lo)
-			}
-			return 0
-		}})
-		// Colors fixed by decided neighbors.
-		qs = append(qs, agg.Query{Agg: agg.BitOr, Proj: func(nd agg.Data) int64 {
-			if nd[0] == 1 && nd[2] >= lo && nd[2] < hi {
-				return 1 << uint(nd[2]-lo)
-			}
-			return 0
-		}})
+		qs = append(qs,
+			// Candidates proposed by undecided neighbors this round.
+			agg.Query{Agg: agg.BitOr,
+				Guard: agg.Where(agg.Eq(0, 0), agg.Cond{Field: 1, Lo: lo, Hi: hi}),
+				Value: agg.Bit(1, lo)},
+			// Colors fixed by decided neighbors.
+			agg.Query{Agg: agg.BitOr,
+				Guard: agg.Where(agg.Eq(0, 1), agg.Cond{Field: 2, Lo: lo, Hi: hi}),
+				Value: agg.Bit(2, lo)})
 	}
-	qs = append(qs, agg.Query{Agg: agg.And, Proj: func(nd agg.Data) int64 {
-		return nd[0] // all neighbors decided?
-	}})
-	return qs
+	// All neighbors decided?
+	return append(qs, agg.Query{Agg: agg.And, Value: agg.Field(0)})
 }
 
 func (m *paletteMachine) Init(info *agg.NodeInfo, d agg.Data) {
@@ -118,8 +110,8 @@ func (m *paletteMachine) Init(info *agg.NodeInfo, d agg.Data) {
 	d[2] = -1
 }
 
-func (m *paletteMachine) Queries(info *agg.NodeInfo, t int, data agg.Data, qs []agg.Query) []agg.Query {
-	return append(qs, m.plan...)
+func (m *paletteMachine) Queries(info *agg.NodeInfo, t int, data agg.Data, qs []*agg.Query) []*agg.Query {
+	return agg.AppendPlan(qs, m.plan)
 }
 
 func (m *paletteMachine) maskHas(results []int64, stride, value int) bool {

@@ -32,38 +32,21 @@ const (
 // addition stage, in which a candidate may enter the independent set once
 // every neighbor with precedence over it has decided (§2.2). Precedence =
 // removed later = larger candidate timestamp, plus every neighbor still in
-// the removal stage. The projections read only the shared fields, so one
+// the removal stage. The queries read only the shared fields, so one
 // package-level plan serves Algorithms 2 and 3 alike.
 var additionPlan = [3]agg.Query{
 	// Latest candidate timestamp among live candidate neighbors.
-	{Agg: agg.Max, Proj: func(nd agg.Data) int64 {
-		if nd[fStatus] == stCandidate {
-			return nd[fCandTime]
-		}
-		return -1
-	}},
+	{Agg: agg.Max, Guard: agg.Where(agg.Eq(fStatus, stCandidate)), Value: agg.Field(fCandTime), Else: -1},
 	// Did a neighbor just enter the independent set?
-	{Agg: agg.Or, Proj: func(nd agg.Data) int64 {
-		if nd[fStatus] == stInISAnnounce {
-			return 1
-		}
-		return 0
-	}},
-	// Is any neighbor still in the removal stage?
-	{Agg: agg.Or, Proj: func(nd agg.Data) int64 {
-		if nd[fStatus] == stWaiting || nd[fStatus] == stReady {
-			return 1
-		}
-		return 0
-	}},
+	{Agg: agg.Or, Guard: agg.Where(agg.Eq(fStatus, stInISAnnounce)), Value: agg.Constant(1)},
+	// Is any neighbor still in the removal stage (waiting or ready)?
+	{Agg: agg.Or, Guard: agg.Where(agg.Cond{Field: fStatus, Lo: stWaiting, Hi: stReady + 1}), Value: agg.Constant(1)},
 }
 
 // reducePlan sums the reduce amounts published by candidate neighbors — the
 // apply half of the local-ratio weight reduction, shared by both machines.
 var reducePlan = [1]agg.Query{
-	{Agg: agg.Sum, Proj: func(nd agg.Data) int64 {
-		return nd[fReduce]
-	}},
+	{Agg: agg.Sum, Value: agg.Field(fReduce)},
 }
 
 // handleAddition advances the addition stage. results must be the three
@@ -121,7 +104,7 @@ type algorithm2 struct {
 // newAlgorithm2 builds the machine for one virtual node. n is the number of
 // virtual nodes (fixes the MIS window budget).
 func newAlgorithm2(factory mis.SubFactory, n int) *algorithm2 {
-	sub := factory(numShared, func(nd agg.Data) bool { return nd[fStatus] == stReady })
+	sub := factory(numShared, agg.Eq(fStatus, stReady))
 	return &algorithm2{sub: sub, misT: sub.WindowRounds(n)}
 }
 
@@ -132,12 +115,7 @@ func (m *algorithm2) Fields() int { return numShared + m.sub.Fields() }
 // waitingLayerPlan asks for the highest weight layer among live waiting
 // neighbors (the sync round's gate).
 var waitingLayerPlan = [1]agg.Query{
-	{Agg: agg.Max, Proj: func(nd agg.Data) int64 {
-		if nd[fStatus] == stWaiting {
-			return nd[fLayer]
-		}
-		return -1
-	}},
+	{Agg: agg.Max, Guard: agg.Where(agg.Eq(fStatus, stWaiting)), Value: agg.Field(fLayer), Else: -1},
 }
 
 func (m *algorithm2) Init(info *agg.NodeInfo, d agg.Data) {
@@ -149,19 +127,19 @@ func (m *algorithm2) Init(info *agg.NodeInfo, d agg.Data) {
 	m.sub.Begin(info, d, false)
 }
 
-func (m *algorithm2) Queries(info *agg.NodeInfo, t int, data agg.Data, qs []agg.Query) []agg.Query {
+func (m *algorithm2) Queries(info *agg.NodeInfo, t int, data agg.Data, qs []*agg.Query) []*agg.Query {
 	τ := t % m.window()
 	switch {
 	case τ == 0:
-		qs = append(qs, waitingLayerPlan[:]...)
+		qs = agg.AppendPlan(qs, waitingLayerPlan[:])
 	case τ <= m.misT:
 		qs = m.sub.Queries(info, τ-1, data, qs)
 	case τ == m.misT+1:
 		// bookkeeping round; addition queries only
 	default: // τ == misT+2: apply reductions
-		qs = append(qs, reducePlan[:]...)
+		qs = agg.AppendPlan(qs, reducePlan[:])
 	}
-	return append(qs, additionPlan[:]...)
+	return agg.AppendPlan(qs, additionPlan[:])
 }
 
 func (m *algorithm2) Update(info *agg.NodeInfo, t int, data agg.Data, results []int64) (bool, any) {

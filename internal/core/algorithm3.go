@@ -40,12 +40,7 @@ func (m *algorithm3) Fields() int { return numShared }
 // (fColor aliases fLayer, so this is distinct from waitingLayerPlan only in
 // name; it is kept separate to mirror the paper's reduce-round phrasing.)
 var waitingColorPlan = [1]agg.Query{
-	{Agg: agg.Max, Proj: func(nd agg.Data) int64 {
-		if nd[fStatus] == stWaiting {
-			return nd[fColor]
-		}
-		return -1
-	}},
+	{Agg: agg.Max, Guard: agg.Where(agg.Eq(fStatus, stWaiting)), Value: agg.Field(fColor), Else: -1},
 }
 
 func (m *algorithm3) Init(info *agg.NodeInfo, d agg.Data) {
@@ -56,13 +51,13 @@ func (m *algorithm3) Init(info *agg.NodeInfo, d agg.Data) {
 	d[fReduce] = 0
 }
 
-func (m *algorithm3) Queries(info *agg.NodeInfo, t int, data agg.Data, qs []agg.Query) []agg.Query {
+func (m *algorithm3) Queries(info *agg.NodeInfo, t int, data agg.Data, qs []*agg.Query) []*agg.Query {
 	if t%2 == 0 {
-		qs = append(qs, waitingColorPlan[:]...)
+		qs = agg.AppendPlan(qs, waitingColorPlan[:])
 	} else {
-		qs = append(qs, reducePlan[:]...)
+		qs = agg.AppendPlan(qs, reducePlan[:])
 	}
-	return append(qs, additionPlan[:]...)
+	return agg.AppendPlan(qs, additionPlan[:])
 }
 
 func (m *algorithm3) Update(info *agg.NodeInfo, t int, data agg.Data, results []int64) (bool, any) {

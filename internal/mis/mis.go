@@ -15,9 +15,10 @@
 // All three are local aggregation algorithms (§2.4): they touch their
 // neighborhoods only through Max/Min/Or/Sum aggregates, which is what lets
 // Algorithm 2 run on the line graph in CONGEST without congestion overhead.
-// Per the agg arena contract, every sub-protocol builds its query plans —
-// including the Proj closures — once at construction and appends them in
-// Queries, so driving a Sub allocates nothing per round.
+// Per the agg arena contract, every sub-protocol builds its query plans once
+// at construction, as arrays of declarative agg.Query values whose guards
+// include the host's participation conditions, and appends pointers to the
+// entries in Queries, so driving a Sub allocates nothing per round.
 //
 // Layer (DESIGN.md §2): mis is a black-box layer beside internal/coloring,
 // above internal/agg and internal/simul, below internal/core.
@@ -45,8 +46,10 @@ const (
 // Sub is an MIS protocol embeddable inside a host machine's data layout.
 // The host owns rounds and data; it calls Begin at the start of an instance,
 // then alternates Queries/Update for WindowRounds(n) rounds (or until every
-// participant it cares about is Decided). participates tells the sub-protocol
-// which neighbors' data belong to the current instance.
+// participant it cares about is Decided). The host's participation
+// conditions tell the sub-protocol which neighbors' data belong to the
+// current instance. A Sub keeps all per-node state in the Data vector, so one
+// Sub may serve every node of a run.
 type Sub interface {
 	// Fields is the number of data fields the sub-protocol owns.
 	Fields() int
@@ -59,7 +62,7 @@ type Sub interface {
 	Begin(info *agg.NodeInfo, d agg.Data, active bool)
 	// Queries appends the round's precomputed query plan to qs, following the
 	// agg.Machine contract.
-	Queries(info *agg.NodeInfo, t int, d agg.Data, qs []agg.Query) []agg.Query
+	Queries(info *agg.NodeInfo, t int, d agg.Data, qs []*agg.Query) []*agg.Query
 	Update(info *agg.NodeInfo, t int, d agg.Data, results []int64)
 	// Decided reports whether this node settled in the current instance.
 	Decided(d agg.Data) bool
@@ -68,9 +71,17 @@ type Sub interface {
 }
 
 // SubFactory builds a Sub whose fields live at data[off:off+Fields()] and
-// which aggregates only over neighbors for which participates returns true.
-// participates receives the neighbor's full data vector.
-type SubFactory func(off int, participates func(agg.Data) bool) Sub
+// which aggregates only over neighbors whose full data vector meets every
+// participates condition (none: every neighbor participates). The Sub adds up
+// to two conditions of its own to each query's guard, so a host passes at
+// most agg.MaxConds-2 of them.
+type SubFactory func(off int, participates ...agg.Cond) Sub
+
+// guard returns the conjunction of the host's participation conditions and
+// the sub-protocol's own.
+func guard(participates []agg.Cond, own ...agg.Cond) agg.Guard {
+	return agg.Where(append(append([]agg.Cond(nil), participates...), own...)...)
+}
 
 func ceilLog2(n int) int {
 	if n <= 1 {
@@ -86,28 +97,23 @@ func ceilLog2(n int) int {
 // round. Finishes in O(log n) rounds w.h.p.
 
 type lubySub struct {
-	off          int
-	participates func(agg.Data) bool
-	compete      [1]agg.Query // even rounds: compare keys
-	notify       [1]agg.Query // odd rounds: did a neighbor join?
+	off     int
+	compete [1]agg.Query // even rounds: compare keys
+	notify  [1]agg.Query // odd rounds: did a neighbor join?
 }
 
 // NewLubySub returns the Luby sub-protocol factory.
 func NewLubySub() SubFactory {
-	return func(off int, participates func(agg.Data) bool) Sub {
-		s := &lubySub{off: off, participates: participates}
-		s.compete[0] = agg.Query{Agg: agg.Max, Proj: func(nd agg.Data) int64 {
-			if s.participates(nd) && s.state(nd) == subCompeting {
-				return s.key(nd)
-			}
-			return -1
-		}}
-		s.notify[0] = agg.Query{Agg: agg.Or, Proj: func(nd agg.Data) int64 {
-			if s.participates(nd) && s.state(nd) == subInMIS {
-				return 1
-			}
-			return 0
-		}}
+	return func(off int, participates ...agg.Cond) Sub {
+		s := &lubySub{off: off}
+		// Highest key among participating competing neighbors.
+		s.compete[0] = agg.Query{Agg: agg.Max,
+			Guard: guard(participates, agg.Eq(off, subCompeting)),
+			Value: agg.Field(off + 1), Else: -1}
+		// Did a participating neighbor join?
+		s.notify[0] = agg.Query{Agg: agg.Or,
+			Guard: guard(participates, agg.Eq(off, subInMIS)),
+			Value: agg.Constant(1)}
 		return s
 	}
 }
@@ -143,11 +149,11 @@ func (s *lubySub) Begin(info *agg.NodeInfo, d agg.Data, active bool) {
 	}
 }
 
-func (s *lubySub) Queries(info *agg.NodeInfo, t int, d agg.Data, qs []agg.Query) []agg.Query {
+func (s *lubySub) Queries(info *agg.NodeInfo, t int, d agg.Data, qs []*agg.Query) []*agg.Query {
 	if t%2 == 0 {
-		return append(qs, s.compete[:]...)
+		return agg.AppendPlan(qs, s.compete[:])
 	}
-	return append(qs, s.notify[:]...)
+	return agg.AppendPlan(qs, s.notify[:])
 }
 
 func (s *lubySub) Update(info *agg.NodeInfo, t int, d agg.Data, results []int64) {
@@ -183,35 +189,24 @@ func (s *lubySub) InMIS(d agg.Data) bool { return s.state(d) == subInMIS }
 const pFixShift = 20 // fixed-point denominator 2²⁰ for probability sums
 
 type ghaffariSub struct {
-	off          int
-	participates func(agg.Data) bool
-	maxExp       int64
-	plan         [3]agg.Query
+	off    int
+	maxExp int64
+	plan   [3]agg.Query
 }
 
 // NewGhaffariSub returns the Ghaffari-style sub-protocol factory.
 func NewGhaffariSub() SubFactory {
-	return func(off int, participates func(agg.Data) bool) Sub {
-		s := &ghaffariSub{off: off, participates: participates, maxExp: pFixShift - 1}
+	return func(off int, participates ...agg.Cond) Sub {
+		s := &ghaffariSub{off: off, maxExp: pFixShift - 1}
+		competing := agg.Eq(off, subCompeting)
 		s.plan = [3]agg.Query{
-			{Agg: agg.Or, Proj: func(nd agg.Data) int64 { // a marked competing neighbor?
-				if s.participates(nd) && s.state(nd) == subCompeting && s.marked(nd) {
-					return 1
-				}
-				return 0
-			}},
-			{Agg: agg.Sum, Proj: func(nd agg.Data) int64 { // effective degree
-				if s.participates(nd) && s.state(nd) == subCompeting {
-					return pFix(s.pexp(nd))
-				}
-				return 0
-			}},
-			{Agg: agg.Or, Proj: func(nd agg.Data) int64 { // a neighbor already in the set?
-				if s.participates(nd) && s.state(nd) == subInMIS {
-					return 1
-				}
-				return 0
-			}},
+			// A marked competing neighbor? (the mark field is 0 or 1)
+			{Agg: agg.Or, Guard: guard(participates, competing, agg.Eq(off+2, 1)), Value: agg.Constant(1)},
+			// Effective degree: Σ 2^−pexp over competing neighbors, in
+			// fixed point with pFixShift fraction bits.
+			{Agg: agg.Sum, Guard: guard(participates, competing), Value: agg.FixedPow2Neg(off+1, pFixShift)},
+			// A neighbor already in the set?
+			{Agg: agg.Or, Guard: guard(participates, agg.Eq(off, subInMIS)), Value: agg.Constant(1)},
 		}
 		return s
 	}
@@ -226,9 +221,6 @@ func (s *ghaffariSub) WindowRounds(n int) int {
 func (s *ghaffariSub) state(d agg.Data) int64 { return d[s.off] }
 func (s *ghaffariSub) pexp(d agg.Data) int64  { return d[s.off+1] }
 func (s *ghaffariSub) marked(d agg.Data) bool { return d[s.off+2] != 0 }
-
-// pFix returns the fixed-point value of 2^-pexp.
-func pFix(exp int64) int64 { return int64(1) << (pFixShift - uint(exp)) }
 
 func (s *ghaffariSub) draw(info *agg.NodeInfo, d agg.Data) {
 	p := 1.0 / float64(int64(1)<<uint(s.pexp(d)))
@@ -251,8 +243,8 @@ func (s *ghaffariSub) Begin(info *agg.NodeInfo, d agg.Data, active bool) {
 	}
 }
 
-func (s *ghaffariSub) Queries(info *agg.NodeInfo, t int, d agg.Data, qs []agg.Query) []agg.Query {
-	return append(qs, s.plan[:]...)
+func (s *ghaffariSub) Queries(info *agg.NodeInfo, t int, d agg.Data, qs []*agg.Query) []*agg.Query {
+	return agg.AppendPlan(qs, s.plan[:])
 }
 
 func (s *ghaffariSub) Update(info *agg.NodeInfo, t int, d agg.Data, results []int64) {
@@ -292,29 +284,23 @@ func (s *ghaffariSub) InMIS(d agg.Data) bool { return s.state(d) == subInMIS }
 // deterministic black box for Algorithm 2.
 
 type greedyIDSub struct {
-	off          int
-	participates func(agg.Data) bool
-	compete      [1]agg.Query
-	notify       [1]agg.Query
+	off     int
+	compete [1]agg.Query
+	notify  [1]agg.Query
 }
 
 // NewGreedyIDSub returns the deterministic greedy-by-ID factory.
 func NewGreedyIDSub() SubFactory {
-	return func(off int, participates func(agg.Data) bool) Sub {
-		s := &greedyIDSub{off: off, participates: participates}
-		s.compete[0] = agg.Query{Agg: agg.Min, Proj: func(nd agg.Data) int64 {
-			if s.participates(nd) && s.state(nd) == subCompeting {
-				return nd[s.off+1]
-			}
-			// Non-participant sentinel above any real ID but cheap to encode.
-			return int64(1) << 40
-		}}
-		s.notify[0] = agg.Query{Agg: agg.Or, Proj: func(nd agg.Data) int64 {
-			if s.participates(nd) && s.state(nd) == subInMIS {
-				return 1
-			}
-			return 0
-		}}
+	return func(off int, participates ...agg.Cond) Sub {
+		s := &greedyIDSub{off: off}
+		// Smallest ID among participating competing neighbors; the
+		// non-participant sentinel lies above any real ID.
+		s.compete[0] = agg.Query{Agg: agg.Min,
+			Guard: guard(participates, agg.Eq(off, subCompeting)),
+			Value: agg.Field(off + 1), Else: 1 << 40}
+		s.notify[0] = agg.Query{Agg: agg.Or,
+			Guard: guard(participates, agg.Eq(off, subInMIS)),
+			Value: agg.Constant(1)}
 		return s
 	}
 }
@@ -334,11 +320,11 @@ func (s *greedyIDSub) Begin(info *agg.NodeInfo, d agg.Data, active bool) {
 	d[s.off+1] = int64(info.ID)
 }
 
-func (s *greedyIDSub) Queries(info *agg.NodeInfo, t int, d agg.Data, qs []agg.Query) []agg.Query {
+func (s *greedyIDSub) Queries(info *agg.NodeInfo, t int, d agg.Data, qs []*agg.Query) []*agg.Query {
 	if t%2 == 0 {
-		return append(qs, s.compete[:]...)
+		return agg.AppendPlan(qs, s.compete[:])
 	}
-	return append(qs, s.notify[:]...)
+	return agg.AppendPlan(qs, s.notify[:])
 }
 
 func (s *greedyIDSub) Update(info *agg.NodeInfo, t int, d agg.Data, results []int64) {

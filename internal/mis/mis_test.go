@@ -3,7 +3,6 @@ package mis
 import (
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/simul"
@@ -185,7 +184,7 @@ func TestSubWindowBudgets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := f(0, func(agg.Data) bool { return true })
+		s := f(0)
 		if s.WindowRounds(1024) <= 0 || s.Fields() <= 0 {
 			t.Fatalf("%s: degenerate window or fields", name)
 		}

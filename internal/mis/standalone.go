@@ -45,10 +45,11 @@ func NewMachine(name string) (func(v int) agg.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The Sub keeps its state in the Data vector, so one serves every node
+	// of the run, and its plan entries are shared for exchange folding.
+	sub := factory(0)
 	return func(v int) agg.Machine {
-		m := &standalone{}
-		m.sub = factory(0, func(agg.Data) bool { return true })
-		return m
+		return &standalone{sub: sub}
 	}, nil
 }
 
@@ -58,7 +59,7 @@ func (m *standalone) Init(info *agg.NodeInfo, d agg.Data) {
 	m.sub.Begin(info, d, true)
 }
 
-func (m *standalone) Queries(info *agg.NodeInfo, t int, data agg.Data, qs []agg.Query) []agg.Query {
+func (m *standalone) Queries(info *agg.NodeInfo, t int, data agg.Data, qs []*agg.Query) []*agg.Query {
 	return m.sub.Queries(info, t, data, qs)
 }
 

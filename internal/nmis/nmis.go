@@ -159,31 +159,19 @@ func (m *machine) draw(info *agg.NodeInfo, d agg.Data) {
 	}
 }
 
-// queryPlan is the machine's fixed query set. The projections close over
-// nothing, so one package-level plan serves every node and round.
+// queryPlan is the machine's fixed query set. It depends on nothing but the
+// data layout, so one package-level plan serves every node and round.
 var queryPlan = [3]agg.Query{
-	{Agg: agg.Or, Proj: func(nd agg.Data) int64 { // marked competing neighbor?
-		if nd[0] == stCompeting && nd[2] != 0 {
-			return 1
-		}
-		return 0
-	}},
-	{Agg: agg.Sum, Proj: func(nd agg.Data) int64 { // effective degree
-		if nd[0] == stCompeting {
-			return nd[1]
-		}
-		return 0
-	}},
-	{Agg: agg.Or, Proj: func(nd agg.Data) int64 { // neighbor joined?
-		if nd[0] == stInSet {
-			return 1
-		}
-		return 0
-	}},
+	// Marked competing neighbor? (the mark field is 0 or 1)
+	{Agg: agg.Or, Guard: agg.Where(agg.Eq(0, stCompeting), agg.Eq(2, 1)), Value: agg.Constant(1)},
+	// Effective degree.
+	{Agg: agg.Sum, Guard: agg.Where(agg.Eq(0, stCompeting)), Value: agg.Field(1)},
+	// Neighbor joined?
+	{Agg: agg.Or, Guard: agg.Where(agg.Eq(0, stInSet)), Value: agg.Constant(1)},
 }
 
-func (m *machine) Queries(info *agg.NodeInfo, t int, data agg.Data, qs []agg.Query) []agg.Query {
-	return append(qs, queryPlan[:]...)
+func (m *machine) Queries(info *agg.NodeInfo, t int, data agg.Data, qs []*agg.Query) []*agg.Query {
+	return agg.AppendPlan(qs, queryPlan[:])
 }
 
 func (m *machine) Update(info *agg.NodeInfo, t int, data agg.Data, results []int64) (bool, any) {

@@ -33,7 +33,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -397,17 +399,39 @@ func OpenBatches(svc *Service, st *store.Store, cfg BatchConfig) (*Batches, erro
 			"had_snapshot", rec.Snapshot != nil)
 	}
 
-	// Resume: everything above ran single-threaded; from here on the resumed
-	// executors and the writer goroutine own the concurrency.
+	// Resume: everything above ran single-threaded. Collect first, oldest
+	// ID first so the retention ring still evicts oldest first: a resumed
+	// batch can finish at once (its cells all cache hits) and run
+	// finalizeLocked, which appends to b.terminal and may delete from
+	// b.batches under b.mu. resume itself must not run under b.mu (the lock
+	// order is batch.mu → Batches.mu), so from the first resume on this loop
+	// touches neither.
+	var terminal []string
+	var unfinished []*batch
 	for _, bt := range b.batches {
 		if bt.state.Terminal() {
-			b.terminal = append(b.terminal, bt.id)
-			continue
+			terminal = append(terminal, bt.id)
+		} else {
+			unfinished = append(unfinished, bt)
 		}
+	}
+	slices.SortFunc(terminal, compareBatchIDs)
+	slices.SortFunc(unfinished, func(x, y *batch) int { return compareBatchIDs(x.id, y.id) })
+	b.terminal = terminal
+	for _, bt := range unfinished {
 		b.resume(bt)
 	}
 	go b.ledger.run(b)
 	return b, nil
+}
+
+// compareBatchIDs orders "b%06d" IDs by number: a shorter ID is a smaller
+// number once the counter outgrows six digits.
+func compareBatchIDs(x, y string) int {
+	if len(x) != len(y) {
+		return len(x) - len(y)
+	}
+	return strings.Compare(x, y)
 }
 
 // replaySubmit rebuilds one batch shell from its submit record; idempotent

@@ -316,3 +316,114 @@ func TestLedgerMutationVisibleBeforeAck(t *testing.T) {
 		t.Error(msg)
 	}
 }
+
+// TestLedgerResumeWhileResumedBatchesFinish reopens a ledger holding
+// finished batches and many unfinished ones whose cells are all cache hits
+// in the new incarnation, so resumed batches finish — and finalize, which
+// appends to the retention ring and evicts from the batch map — while
+// OpenBatches is still resuming the rest. Run it with -race: the resume loop
+// must not touch the ring or the map once the first batch is resumed. With
+// MaxBatches 2 the ring keeps the two newest finishers, so every restored
+// finished batch is evicted first.
+func TestLedgerResumeWhileResumedBatchesFinish(t *testing.T) {
+	const finished, unfinished = 6, 24
+	started, release := registerBlocker(t, "ledger-resume-blocker")
+	root := t.TempDir()
+	storeCfg := store.Config{WALDir: filepath.Join(root, "store-wal"), SpillDir: filepath.Join(root, "spill")}
+	batchWAL := filepath.Join(root, "batch-wal")
+	blockerSpec := func(i int) BatchSpec {
+		return BatchSpec{Graphs: []string{"g"}, Algos: []string{"ledger-resume-blocker"}, Seeds: []uint64{uint64(2*i + 1), uint64(2*i + 2)}}
+	}
+
+	st, err := store.Open(storeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Workers: 2, QueueSize: 256})
+	b, err := OpenBatches(svc, st, BatchConfig{WALDir: batchWAL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Put("g", store.Source{Gen: "gnp", GenParams: registry.GenParams{N: 20, P: 0.2, Seed: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	restored := make(map[string]bool)
+	for i := 0; i < finished; i++ {
+		v, err := b.Submit(BatchSpec{Graphs: []string{"g"}, Algos: []string{"maxis"}, Seeds: []uint64{uint64(i + 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if waitBatch(t, b, v.ID).State != BatchDone {
+			t.Fatalf("batch %s did not finish", v.ID)
+		}
+		restored[v.ID] = true
+	}
+	resumed := make(map[string]bool)
+	for i := 0; i < unfinished; i++ {
+		v, err := b.Submit(blockerSpec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed[v.ID] = true
+	}
+	// Crash while the blockers are parked: the submit records are durable,
+	// no cell of these batches ever reaches the log.
+	<-started
+	b.ledger.log.Kill()
+	close(release)
+	for id := range resumed {
+		waitBatch(t, b, id)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(storeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	svc2 := New(Config{Workers: 2, QueueSize: 256})
+	defer svc2.Close()
+	// Warm the new service's cache with every unfinished cell through an
+	// unjournaled engine, so each resumed batch finishes inside its resume.
+	warm := NewBatches(svc2, st2, BatchConfig{})
+	for i := 0; i < unfinished; i++ {
+		v, err := warm.Submit(blockerSpec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitBatch(t, warm, v.ID)
+	}
+	b2, err := OpenBatches(svc2, st2, BatchConfig{WALDir: batchWAL, MaxBatches: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	deadline := time.Now().Add(30 * time.Second)
+	for b2.Metrics().BatchesDone < unfinished {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d resumed batches finished", b2.Metrics().BatchesDone, unfinished)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	kept := b2.List()
+	if len(kept) != 2 {
+		t.Fatalf("retained %d batches, want MaxBatches = 2", len(kept))
+	}
+	for _, v := range kept {
+		if !resumed[v.ID] || v.State != BatchDone || v.CacheHits != v.Total {
+			t.Fatalf("retained %s (state %s, %d of %d cache hits); want a resumed batch served from the cache",
+				v.ID, v.State, v.CacheHits, v.Total)
+		}
+	}
+	for id := range restored {
+		if _, ok := b2.Get(id); ok {
+			t.Fatalf("restored finished batch %s outlived the resumed ones", id)
+		}
+	}
+}

@@ -417,13 +417,16 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 		halted:       make([]bool, n),
 		stepped:      make([]bool, n),
 	}
+	// Per-node randomness streams live in one arena, like the contexts.
 	master := rng.New(cfg.Seed)
+	streams := make([]rng.Stream, n)
 	for v := 0; v < n; v++ {
 		e.autos[v] = build(v)
+		streams[v] = master.SplitOff(uint64(v))
 		e.ctxs[v] = Context{
 			id:        v,
 			g:         g,
-			rand:      master.Split(uint64(v)),
+			rand:      &streams[v],
 			out:       e.outArena[offsets[v]:offsets[v+1]],
 			outBits:   e.outBitsArena[offsets[v]:offsets[v+1]],
 			nbrs:      nbrs[offsets[v]:offsets[v+1]],
