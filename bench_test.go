@@ -9,7 +9,7 @@ package repro
 //	ratio         OPT / achieved   (≥ 1; must stay below the proven factor)
 //	uncovered     fraction of uncovered nodes (Theorem 3.1)
 //
-// EXPERIMENTS.md records the paper-vs-measured comparison for every row.
+// DESIGN.md §5 lists the experiments these rows regenerate.
 
 import (
 	"fmt"

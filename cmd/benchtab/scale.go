@@ -149,7 +149,7 @@ func runScale(cfg scaleConfig) error {
 
 	var instances []*graph.Graph
 	if cfg.loadPath != "" {
-		g, err := graph.ReadFile(cfg.loadPath, graph.ReadOptions{SkipSelfLoops: true, DedupEdges: true})
+		g, err := graph.ReadFile(cfg.loadPath, graph.ReadOptions{})
 		if err != nil {
 			return err
 		}

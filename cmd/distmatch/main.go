@@ -114,7 +114,7 @@ func loadGraph(in, gen string, p registry.GenParams) (*graph.Graph, error) {
 			return nil, err
 		}
 		defer f.Close()
-		return graph.Decode(f)
+		return graph.Decode(f, graph.ReadOptions{})
 	}
 	gspec, ok := registry.GetGenerator(gen)
 	if !ok {

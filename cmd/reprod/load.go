@@ -13,16 +13,15 @@ import (
 // derived from its base filename ("web-graph.el" registers as "web-graph").
 // The format is picked by extension — see graph.ReadFile for the table.
 //
-// Local files are operator-supplied, so text formats are read without the
-// node/edge caps the HTTP upload path enforces — only the int32 CSR range
-// bounds apply. Self-loops and duplicate edges are dropped rather than
-// rejected, matching the upload path's tolerance for SNAP-style dumps.
+// Local files are operator-supplied, so they are read without the node/edge
+// caps the HTTP upload path enforces — only the int32 CSR range bounds
+// apply.
 func loadGraphFile(st *store.Store, path string) (string, store.Info, error) {
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	if name == "" {
 		return "", store.Info{}, fmt.Errorf("cannot derive a graph name from %q", path)
 	}
-	g, err := graph.ReadFile(path, graph.ReadOptions{SkipSelfLoops: true, DedupEdges: true})
+	g, err := graph.ReadFile(path, graph.ReadOptions{})
 	if err != nil {
 		return "", store.Info{}, err
 	}

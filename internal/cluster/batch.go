@@ -148,21 +148,15 @@ type dgroup struct {
 }
 
 // groupBatch partitions a batch's cells into dispatch groups: cells agreeing
-// on graph and on every seed-independent parameter (the same key as
-// the batch's result groups and the worker's result grouping) ride together,
-// chunked at Config.GroupSize so one straggling group cannot serialize an
-// entire seed axis.
+// on service.GroupKey (graph and every seed-independent parameter, the key
+// of the batch's result groups) ride together, chunked at Config.GroupSize
+// so one straggling group cannot serialize an entire seed axis.
 func (c *Coordinator) groupBatch(r *service.BatchRun) []*dgroup {
 	var out []*dgroup
 	open := make(map[string]*dgroup)
 	for _, i := range r.Pending {
 		cell := r.Cells[i]
-		p := cell.Params
-		p.Seed = 0
-		key := cell.Graph + "|" + cell.Algo
-		if spec, ok := registry.Get(cell.Algo); ok {
-			key = cell.Graph + "|" + spec.CacheKey(p)
-		}
+		key := service.GroupKey(cell.Graph, cell.Algo, cell.Params)
 		g := open[key]
 		if g == nil || len(g.idxs) >= c.cfg.GroupSize {
 			g = &dgroup{graphName: cell.Graph, algo: cell.Algo, base: cell.Params}

@@ -10,8 +10,8 @@ import (
 // MaxWeightBipartiteMatching computes a maximum weight matching of a
 // bipartite graph exactly using the Hungarian algorithm with potentials
 // (O(k³) for k = max side size). side[v] must be a valid 2-coloring of g
-// (e.g. from graph.Bipartition). It returns the matching edge IDs and the
-// total weight.
+// (e.g. the one graph.RandomBipartite returns). It returns the matching edge
+// IDs and the total weight.
 func MaxWeightBipartiteMatching(g *graph.Graph, side []int) ([]int, int64, error) {
 	var left, right []int
 	for v := 0; v < g.N(); v++ {

@@ -51,48 +51,14 @@ func EncodeBinary(w io.Writer, g *Graph) error {
 	return err
 }
 
-// readUvarint decodes one varint at data[off:], returning the value and the
-// next offset.
-func readUvarint(data []byte, off int, what string) (uint64, int, error) {
-	v, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("graph: binary: truncated or overlong %s at offset %d", what, off)
-	}
-	return v, off + n, nil
-}
-
-// BinaryHeader peeks the declared node and edge counts of a binary graph
-// stream without decoding it. Untrusted callers (the HTTP layer) use it to
-// enforce size caps before DecodeBinary allocates for the header's claim,
-// exactly as checkGraphHeader guards the text format.
-func BinaryHeader(data []byte) (n, m int, err error) {
-	if len(data) < len(binaryMagic) || string(data[:len(binaryMagic)]) != binaryMagic {
-		return 0, 0, fmt.Errorf("graph: binary: bad magic (want %q)", binaryMagic)
-	}
-	off := len(binaryMagic)
-	un, off, err := readUvarint(data, off, "node count")
-	if err != nil {
-		return 0, 0, err
-	}
-	um, _, err := readUvarint(data, off, "edge count")
-	if err != nil {
-		return 0, 0, err
-	}
-	if un > math.MaxInt32 || um > math.MaxInt32 {
-		return 0, 0, fmt.Errorf("graph: binary: sizes %d/%d exceed int32 range", un, um)
-	}
-	return int(un), int(um), nil
-}
-
-// DecodeBinaryStream parses the format written by EncodeBinary directly
-// from r, without ever holding the raw stream in memory — the service
-// boundary uses it so a large upload costs one Builder, not body + Builder.
-// Non-positive maxNodes/maxEdges mean unlimited; the caps are enforced
-// against the declared header before any size-proportional allocation.
-// Unlike DecodeBinary, which sanity-checks the header's claim against the
-// slice length, a stream has no length to check against, so the caps are
-// the only pre-allocation guard: pass real ones for untrusted input.
-func DecodeBinaryStream(r io.Reader, maxNodes, maxEdges int) (*Graph, error) {
+// DecodeBinary parses the format written by EncodeBinary directly from r,
+// without ever holding the raw stream in memory, so a large upload costs
+// one Builder, not body + Builder. The declared sizes are checked against
+// opts before anything past the header is read, and the Builder is sized by
+// the bytes actually read, never by the header's claim. Trailing bytes after
+// the last edge are rejected, so every accepted stream has exactly one
+// canonical re-encoding.
+func DecodeBinary(r io.Reader, opts ReadOptions) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	magic := make([]byte, len(binaryMagic))
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != binaryMagic {
@@ -116,14 +82,15 @@ func DecodeBinaryStream(r io.Reader, maxNodes, maxEdges int) (*Graph, error) {
 	if un > math.MaxInt32 || um > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: binary: sizes %d/%d exceed int32 range", un, um)
 	}
-	if maxNodes > 0 && un > uint64(maxNodes) {
-		return nil, fmt.Errorf("graph: binary: %d nodes exceeds cap %d", un, maxNodes)
-	}
-	if maxEdges > 0 && um > uint64(maxEdges) {
-		return nil, fmt.Errorf("graph: binary: %d edges exceeds cap %d", um, maxEdges)
+	if err := opts.checkDeclared(int64(un), int64(um)); err != nil {
+		return nil, fmt.Errorf("graph: binary: %w", err)
 	}
 	n, m := int(un), int(um)
-	b := NewBuilderHint(n, m)
+	// Reserve what the input already buffered can hold (a node weight takes
+	// at least one byte, an edge at least three) and grow from there.
+	avail := br.Buffered()
+	b := NewBuilder(min(n, avail))
+	b.Grow(min(m, avail/3))
 	for v := 0; v < n; v++ {
 		uw, err := rd("node weight")
 		if err != nil {
@@ -132,6 +99,7 @@ func DecodeBinaryStream(r io.Reader, maxNodes, maxEdges int) (*Graph, error) {
 		if uw == 0 || uw > math.MaxInt64 {
 			return nil, fmt.Errorf("graph: binary: node %d has non-positive weight", v)
 		}
+		b.EnsureNode(v)
 		b.SetNodeWeight(v, int64(uw))
 	}
 	for i := 0; i < m; i++ {
@@ -159,66 +127,6 @@ func DecodeBinaryStream(r io.Reader, maxNodes, maxEdges int) (*Graph, error) {
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("graph: binary: trailing bytes after the last edge")
-	}
-	return b.Build()
-}
-
-// DecodeBinary parses the format written by EncodeBinary. Trailing bytes
-// after the last edge are rejected, so every accepted stream has exactly one
-// canonical re-encoding.
-//
-// The declared sizes are bounded against the input length before anything is
-// allocated (every node weight takes at least one byte, every edge at least
-// three), so a tiny stream cannot claim a huge graph; absolute size caps are
-// the caller's job, as with the text Decode.
-func DecodeBinary(data []byte) (*Graph, error) {
-	n, m, err := BinaryHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	off := len(binaryMagic)
-	_, off, _ = readUvarint(data, off, "node count")
-	_, off, _ = readUvarint(data, off, "edge count")
-	if rest := len(data) - off; rest < n+3*m {
-		return nil, fmt.Errorf("graph: binary: header declares %d nodes / %d edges but only %d payload bytes follow", n, m, rest)
-	}
-
-	b := NewBuilder(n)
-	b.Grow(m)
-	for v := 0; v < n; v++ {
-		var uw uint64
-		uw, off, err = readUvarint(data, off, "node weight")
-		if err != nil {
-			return nil, err
-		}
-		if uw == 0 || uw > math.MaxInt64 {
-			return nil, fmt.Errorf("graph: binary: node %d has non-positive weight", v)
-		}
-		b.SetNodeWeight(v, int64(uw))
-	}
-	for i := 0; i < m; i++ {
-		var uu, uv, uw uint64
-		if uu, off, err = readUvarint(data, off, "edge endpoint"); err != nil {
-			return nil, err
-		}
-		if uv, off, err = readUvarint(data, off, "edge endpoint"); err != nil {
-			return nil, err
-		}
-		if uw, off, err = readUvarint(data, off, "edge weight"); err != nil {
-			return nil, err
-		}
-		if uu > math.MaxInt32 || uv > math.MaxInt32 {
-			return nil, fmt.Errorf("graph: binary: edge %d endpoints out of int32 range", i)
-		}
-		if uw == 0 || uw > math.MaxInt64 {
-			return nil, fmt.Errorf("graph: binary: edge %d has non-positive weight", i)
-		}
-		if err := b.AddWeightedEdge(int(uu), int(uv), int64(uw)); err != nil {
-			return nil, err
-		}
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("graph: binary: %d trailing bytes after the last edge", len(data)-off)
 	}
 	return b.Build()
 }

@@ -65,11 +65,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			if err := EncodeBinary(&buf, g); err != nil {
 				t.Fatalf("EncodeBinary: %v", err)
 			}
-			n, m, err := BinaryHeader(buf.Bytes())
-			if err != nil || n != g.N() || m != g.M() {
-				t.Fatalf("BinaryHeader: got (%d,%d,%v), want (%d,%d,nil)", n, m, err, g.N(), g.M())
-			}
-			g2, err := DecodeBinary(buf.Bytes())
+			g2, err := DecodeBinary(bytes.NewReader(buf.Bytes()), ReadOptions{})
 			if err != nil {
 				t.Fatalf("DecodeBinary: %v", err)
 			}
@@ -100,11 +96,11 @@ func TestBinaryMatchesTextCodec(t *testing.T) {
 	if err := Encode(&txt, g); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	gb, err := DecodeBinary(bin.Bytes())
+	gb, err := DecodeBinary(bytes.NewReader(bin.Bytes()), ReadOptions{})
 	if err != nil {
 		t.Fatalf("DecodeBinary: %v", err)
 	}
-	gt, err := Decode(bytes.NewReader(txt.Bytes()))
+	gt, err := Decode(bytes.NewReader(txt.Bytes()), ReadOptions{})
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -128,17 +124,19 @@ func TestDecodeBinaryRejects(t *testing.T) {
 		{"empty", nil, "bad magic"},
 		{"bad magic", []byte("RGB9\x00\x00"), "bad magic"},
 		{"magic only", []byte("RGB1"), "node count"},
-		{"truncated payload", valid(func(b []byte) []byte { return b[:len(b)-1] }), "payload bytes follow"},
+		{"truncated payload", valid(func(b []byte) []byte { return b[:len(b)-1] }), "truncated"},
 		{"trailing bytes", valid(func(b []byte) []byte { return append(b, 0x01, 0x01, 0x01, 0x01) }), "trailing"},
 		{"zero node weight", []byte("RGB1\x01\x00\x00"), "non-positive weight"},
 		{"zero edge weight", []byte("RGB1\x02\x01\x01\x01\x00\x01\x00"), "non-positive weight"},
 		{"self loop", []byte("RGB1\x02\x01\x01\x01\x00\x00\x01"), "self"},
 		{"endpoint out of range", []byte("RGB1\x02\x01\x01\x01\x00\x05\x01"), "out of range"},
-		{"undeclared payload", []byte("RGB1\x01\x02\x01"), "payload bytes follow"},
+		{"undeclared payload", []byte("RGB1\x01\x02\x01"), "truncated"},
+		{"nodes over cap", []byte("RGB1\x81\x80\x04\x00"), "exceeds cap"},
+		{"edges over cap", []byte("RGB1\x01\x81\x80\x04"), "exceeds cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeBinary(tc.data)
+			_, err := DecodeBinary(bytes.NewReader(tc.data), ReadOptions{MaxNodes: fuzzSizeCap, MaxEdges: fuzzSizeCap})
 			if err == nil {
 				t.Fatalf("DecodeBinary accepted %q", tc.data)
 			}
@@ -149,13 +147,13 @@ func TestDecodeBinaryRejects(t *testing.T) {
 	}
 }
 
-// FuzzGraphBinaryRoundTrip fuzzes the binary codec the same way
-// FuzzGraphEncodeDecode fuzzes the text one, with the cross-codec check the
-// ISSUE asks for: any input DecodeBinary accepts must (a) re-encode to the
-// identical byte stream after a second decode (fixed point) and (b) survive a
-// trip through the text codec unchanged, so the two formats accept exactly
-// the same graphs. The committed seed corpus lives in
-// testdata/fuzz/FuzzGraphBinaryRoundTrip.
+// FuzzGraphBinaryRoundTrip fuzzes DecodeBinary, the decoder binary graph
+// uploads run, the same way FuzzGraphEncodeDecode fuzzes the text one, with
+// a cross-codec check: any input DecodeBinary accepts under the fuzz caps
+// must (a) re-encode to the identical byte stream after a second decode
+// (fixed point) and (b) survive a trip through the text codec unchanged, so
+// the two formats accept exactly the same graphs. The committed seed corpus
+// lives in testdata/fuzz/FuzzGraphBinaryRoundTrip.
 func FuzzGraphBinaryRoundTrip(f *testing.F) {
 	seeds := []struct {
 		nodeW []int64
@@ -183,10 +181,7 @@ func FuzzGraphBinaryRoundTrip(f *testing.F) {
 	f.Add([]byte("RGB1"))
 	f.Add([]byte("not a graph"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if n, m, err := BinaryHeader(data); err == nil && (n > fuzzSizeCap || m > fuzzSizeCap) {
-			t.Skip("header beyond the fuzz size cap")
-		}
-		g, err := DecodeBinary(data)
+		g, err := DecodeBinary(bytes.NewReader(data), ReadOptions{MaxNodes: fuzzSizeCap, MaxEdges: fuzzSizeCap})
 		if err != nil {
 			return // malformed inputs only need to be rejected cleanly
 		}
@@ -194,7 +189,7 @@ func FuzzGraphBinaryRoundTrip(f *testing.F) {
 		if err := EncodeBinary(&bin, g); err != nil {
 			t.Fatalf("encoding a decoded graph: %v", err)
 		}
-		g2, err := DecodeBinary(bin.Bytes())
+		g2, err := DecodeBinary(bytes.NewReader(bin.Bytes()), ReadOptions{})
 		if err != nil {
 			t.Fatalf("re-decoding an encoded graph: %v", err)
 		}
@@ -213,7 +208,7 @@ func FuzzGraphBinaryRoundTrip(f *testing.F) {
 		if err := Encode(&txt, g); err != nil {
 			t.Fatalf("text-encoding a binary-decoded graph: %v", err)
 		}
-		gt, err := Decode(bytes.NewReader(txt.Bytes()))
+		gt, err := Decode(bytes.NewReader(txt.Bytes()), ReadOptions{})
 		if err != nil {
 			t.Fatalf("text codec rejected a graph the binary codec accepted: %v", err)
 		}

@@ -17,13 +17,11 @@ import (
 //	header   magic "RGD1" | flags u32 | n u64 | m u64 | maxDeg u64 |
 //	         sha256[32] over all section payloads in table order |
 //	         section table: 7 × (offset u64, length u64)
-//	sections offsets[n+1]i32, neighbors, edgeIDs[2m]i32, mirror[2m]i32,
-//	         nodeW[n]i64, edgeW[m]i64, nbrIndex
+//	sections offsets[n+1]i32, neighbors[2m]i32, edgeIDs[2m]i32,
+//	         mirror[2m]i32, nodeW[n]i64, edgeW[m]i64, (empty)
 //
-// In the default (raw) mode the neighbors section is the [2m]int32 CSR array
-// and nbrIndex is empty; with DiskOptions.CompressNeighbors the neighbors
-// section holds the delta-varint payload of CompressAdjacency and nbrIndex
-// its [n+1]int64 byte-offset index.
+// The seventh table entry is always empty and flags always 0; a file with a
+// flag set is rejected.
 //
 // Because sections are page-aligned images of the runtime arrays, OpenDisk
 // on a little-endian host maps the file (MAP_PRIVATE) and casts sections in
@@ -45,29 +43,15 @@ const (
 	diskPage       = 4096
 	diskHeaderSize = diskPage
 
-	diskFlagCompressed = uint32(1 << 0)
-	diskKnownFlags     = diskFlagCompressed
-
 	// Section table order: offsets, neighbors, edgeIDs, mirror, nodeW,
-	// edgeW, nbrIndex.
+	// edgeW, and one always-empty entry.
 	diskSectionCount = 7
 	diskTableOff     = 64
 )
 
-// DiskOptions configures WriteDisk.
-type DiskOptions struct {
-	// CompressNeighbors stores the neighbor array delta-varint compressed
-	// (typically 1–2 bytes per arc instead of 4). Opening such a file
-	// decodes the neighbors into fresh memory — smaller file and fewer
-	// faulted pages, but the neighbor section loses zero-copy.
-	CompressNeighbors bool
-}
-
 // DiskGraph is a Graph whose arrays are backed by a mapped RGD1 file.
 type DiskGraph struct {
 	*Graph
-	// Compressed reports whether the file stored neighbors compressed.
-	Compressed bool
 
 	data  []byte
 	unmap func() error
@@ -183,26 +167,17 @@ func copyI64(b []byte) []int64 {
 // diskLayout renders g's header page and section payloads — everything
 // about the RGD1 image except where the bytes go. WriteDisk streams the
 // result to a file; tests stream it into memory.
-func diskLayout(g *Graph, opts DiskOptions) (hdr []byte, sections [][]byte) {
+func diskLayout(g *Graph) (hdr []byte, sections [][]byte) {
 	sections = make([][]byte, diskSectionCount)
 	sections[0] = i32Raw(g.offsets)
+	sections[1] = i32Raw(g.neighbors)
 	sections[2] = i32Raw(g.edgeIDs)
 	sections[3] = i32Raw(g.mirror)
 	sections[4] = i64Raw(g.nodeW)
 	sections[5] = i64Raw(g.edgeW)
-	flags := uint32(0)
-	if opts.CompressNeighbors {
-		ca := g.CompressAdjacency()
-		flags |= diskFlagCompressed
-		sections[1] = ca.blob
-		sections[6] = i64Raw(ca.offs)
-	} else {
-		sections[1] = i32Raw(g.neighbors)
-	}
 
 	hdr = make([]byte, diskHeaderSize)
 	copy(hdr, diskMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], flags)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(g.n))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(g.edges)))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(g.maxDeg))
@@ -224,8 +199,8 @@ func diskLayout(g *Graph, opts DiskOptions) (hdr []byte, sections [][]byte) {
 // WriteDisk writes g to path in RGD1 format. The write goes through a
 // temporary file in the same directory and an atomic rename, so a crash
 // mid-write never leaves a truncated file under the final name.
-func WriteDisk(path string, g *Graph, opts DiskOptions) (err error) {
-	hdr, sections := diskLayout(g, opts)
+func WriteDisk(path string, g *Graph) (err error) {
+	hdr, sections := diskLayout(g)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -281,25 +256,25 @@ func OpenDisk(path string) (*DiskGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, compressed, err := decodeDisk(data, unmap != nil)
+	g, err := decodeDisk(data, unmap != nil)
 	if err != nil {
 		if unmap != nil {
 			unmap()
 		}
 		return nil, fmt.Errorf("graph: rgd1: %s: %w", path, err)
 	}
-	return &DiskGraph{Graph: g, Compressed: compressed, data: data, unmap: unmap}, nil
+	return &DiskGraph{Graph: g, data: data, unmap: unmap}, nil
 }
 
 // DecodeDisk decodes an in-memory RGD1 image with full verification
 // (checksum and structural Validate). It never aliases data, so it is safe
 // for untrusted bytes — this is the entry point the fuzz target drives.
 func DecodeDisk(data []byte) (*Graph, error) {
-	g, compressed, err := decodeDisk(data, false)
+	g, err := decodeDisk(data, false)
 	if err != nil {
 		return nil, err
 	}
-	d := DiskGraph{Graph: g, Compressed: compressed, data: data}
+	d := DiskGraph{Graph: g, data: data}
 	if err := d.Verify(); err != nil {
 		return nil, err
 	}
@@ -314,19 +289,17 @@ type diskSection struct {
 // materializes the Graph. zeroCopy selects aliasing the image (requires a
 // little-endian host and aligned sections — both guaranteed for mapped
 // files, re-checked here anyway) over copy-decoding.
-func decodeDisk(data []byte, zeroCopy bool) (*Graph, bool, error) {
+func decodeDisk(data []byte, zeroCopy bool) (*Graph, error) {
 	if len(data) < diskHeaderSize || string(data[:4]) != diskMagic {
-		return nil, false, fmt.Errorf("not an RGD1 file")
+		return nil, fmt.Errorf("not an RGD1 file")
 	}
-	flags := binary.LittleEndian.Uint32(data[4:])
-	if flags&^diskKnownFlags != 0 {
-		return nil, false, fmt.Errorf("unknown flags %#x", flags)
+	if flags := binary.LittleEndian.Uint32(data[4:]); flags != 0 {
+		return nil, fmt.Errorf("unknown flags %#x", flags)
 	}
-	compressed := flags&diskFlagCompressed != 0
 	n64 := binary.LittleEndian.Uint64(data[8:])
 	m64 := binary.LittleEndian.Uint64(data[16:])
 	if n64 >= math.MaxInt32 || 2*m64 >= math.MaxInt32 {
-		return nil, false, fmt.Errorf("n=%d m=%d exceed CSR int32 range", n64, m64)
+		return nil, fmt.Errorf("n=%d m=%d exceed CSR int32 range", n64, m64)
 	}
 	n, m := int(n64), int(m64)
 
@@ -337,7 +310,7 @@ func decodeDisk(data []byte, zeroCopy bool) (*Graph, bool, error) {
 			continue
 		}
 		if off < diskHeaderSize || off%diskPage != 0 || length < 0 || off+length > int64(len(data)) {
-			return nil, false, fmt.Errorf("section %d out of bounds (off=%d len=%d file=%d)", i, off, length, len(data))
+			return nil, fmt.Errorf("section %d out of bounds (off=%d len=%d file=%d)", i, off, length, len(data))
 		}
 		secs[i] = diskSection{off, length}
 	}
@@ -350,23 +323,27 @@ func decodeDisk(data []byte, zeroCopy bool) (*Graph, bool, error) {
 
 	offB, err := want(0, 4*int64(n+1), "offsets")
 	if err != nil {
-		return nil, false, err
+		return nil, err
+	}
+	nbrB, err := want(1, 8*int64(m), "neighbors")
+	if err != nil {
+		return nil, err
 	}
 	idB, err := want(2, 8*int64(m), "edgeIDs")
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	mirB, err := want(3, 8*int64(m), "mirror")
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	nwB, err := want(4, 8*int64(n), "nodeW")
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	ewB, err := want(5, 8*int64(m), "edgeW")
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	zc := zeroCopy && hostLittleEndian && aligned(data)
@@ -377,50 +354,30 @@ func decodeDisk(data []byte, zeroCopy bool) (*Graph, bool, error) {
 		toI64 = castI64
 	}
 	g := &Graph{
-		n:       n,
-		offsets: toI32(offB),
-		edgeIDs: toI32(idB),
-		mirror:  toI32(mirB),
-		nodeW:   toI64(nwB),
-		edgeW:   toI64(ewB),
-	}
-	if compressed {
-		if _, err := want(6, 8*int64(n+1), "nbrIndex"); err != nil {
-			return nil, false, err
-		}
-	} else if _, err := want(1, 8*int64(m), "neighbors"); err != nil {
-		return nil, false, err
+		n:         n,
+		offsets:   toI32(offB),
+		neighbors: toI32(nbrB),
+		edgeIDs:   toI32(idB),
+		mirror:    toI32(mirB),
+		nodeW:     toI64(nwB),
+		edgeW:     toI64(ewB),
 	}
 
 	// Offsets invariants first: every later bound depends on them.
 	if g.offsets[0] != 0 || int(g.offsets[n]) != 2*m {
-		return nil, false, fmt.Errorf("offsets endpoints corrupt")
+		return nil, fmt.Errorf("offsets endpoints corrupt")
 	}
 	maxDeg := 0
 	for v := 0; v < n; v++ {
 		d := int(g.offsets[v+1] - g.offsets[v])
 		if d < 0 {
-			return nil, false, fmt.Errorf("offsets not monotone at node %d", v)
+			return nil, fmt.Errorf("offsets not monotone at node %d", v)
 		}
 		if d > maxDeg {
 			maxDeg = d
 		}
 	}
 	g.maxDeg = maxDeg
-
-	if compressed {
-		nbi := toI64(data[secs[6].off : secs[6].off+secs[6].len])
-		blob := data[secs[1].off : secs[1].off+secs[1].len]
-		if nbi[0] != 0 || nbi[n] != int64(len(blob)) {
-			return nil, false, fmt.Errorf("compressed-neighbor index endpoints corrupt")
-		}
-		g.neighbors, err = decodeAllDeltaVarint(nbi, blob, g.offsets, 2*m)
-		if err != nil {
-			return nil, false, err
-		}
-	} else {
-		g.neighbors = toI32(data[secs[1].off : secs[1].off+secs[1].len])
-	}
 
 	// One linear pass rebuilds the insertion-order edge table (the only
 	// array RGD1 does not store) and bounds-checks every arc so that a
@@ -431,14 +388,14 @@ func decodeDisk(data []byte, zeroCopy bool) (*Graph, bool, error) {
 		for k := g.offsets[v]; k < g.offsets[v+1]; k++ {
 			u := g.neighbors[k]
 			if u < 0 || int(u) >= n {
-				return nil, false, fmt.Errorf("neighbor %d of node %d out of range", u, v)
+				return nil, fmt.Errorf("neighbor %d of node %d out of range", u, v)
 			}
 			id := g.edgeIDs[k]
 			if id < 0 || int(id) >= m {
-				return nil, false, fmt.Errorf("edge ID %d out of range", id)
+				return nil, fmt.Errorf("edge ID %d out of range", id)
 			}
 			if mk := g.mirror[k]; mk < 0 || int(mk) >= 2*m {
-				return nil, false, fmt.Errorf("mirror %d out of range", mk)
+				return nil, fmt.Errorf("mirror %d out of range", mk)
 			}
 			if int32(v) < u {
 				g.edges[id] = Edge{U: v, V: int(u)}
@@ -447,9 +404,9 @@ func decodeDisk(data []byte, zeroCopy bool) (*Graph, bool, error) {
 		}
 	}
 	if assigned != m {
-		return nil, false, fmt.Errorf("arc scan assigned %d canonical edges, want %d", assigned, m)
+		return nil, fmt.Errorf("arc scan assigned %d canonical edges, want %d", assigned, m)
 	}
-	return g, compressed, nil
+	return g, nil
 }
 
 // aligned reports whether the image base allows in-place int64 casts of

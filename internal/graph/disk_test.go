@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,33 +28,49 @@ func diskGraphs(t *testing.T) map[string]*Graph {
 }
 
 func TestDiskRoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		for name, g := range diskGraphs(t) {
-			path := filepath.Join(t.TempDir(), name+".rgd1")
-			if err := WriteDisk(path, g, DiskOptions{CompressNeighbors: compress}); err != nil {
-				t.Fatalf("%s (compress=%t): WriteDisk: %v", name, compress, err)
-			}
-			d, err := OpenDisk(path)
-			if err != nil {
-				t.Fatalf("%s (compress=%t): OpenDisk: %v", name, compress, err)
-			}
-			if d.Compressed != compress {
-				t.Fatalf("%s: Compressed = %t, want %t", name, d.Compressed, compress)
-			}
-			sameGraph(t, d.Graph, g)
-			if d.Graph.MaxDegree() != g.MaxDegree() {
-				t.Fatalf("%s: maxDeg = %d, want %d", name, d.Graph.MaxDegree(), g.MaxDegree())
-			}
-			if err := d.Verify(); err != nil {
-				t.Fatalf("%s: Verify: %v", name, err)
-			}
-			if err := d.Close(); err != nil {
-				t.Fatalf("%s: Close: %v", name, err)
-			}
-			if err := d.Close(); err != nil {
-				t.Fatalf("%s: second Close not idempotent: %v", name, err)
-			}
+	for name, g := range diskGraphs(t) {
+		path := filepath.Join(t.TempDir(), name+".rgd1")
+		if err := WriteDisk(path, g); err != nil {
+			t.Fatalf("%s: WriteDisk: %v", name, err)
 		}
+		d, err := OpenDisk(path)
+		if err != nil {
+			t.Fatalf("%s: OpenDisk: %v", name, err)
+		}
+		sameGraph(t, d.Graph, g)
+		if d.Graph.MaxDegree() != g.MaxDegree() {
+			t.Fatalf("%s: maxDeg = %d, want %d", name, d.Graph.MaxDegree(), g.MaxDegree())
+		}
+		if err := d.Verify(); err != nil {
+			t.Fatalf("%s: Verify: %v", name, err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", name, err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("%s: second Close not idempotent: %v", name, err)
+		}
+	}
+}
+
+// TestWriteDiskBytesPinned pins the RGD1 bytes WriteDisk writes for a fixed
+// graph: spill files are content-addressed by fingerprint and reopened
+// across versions, so the layout must not drift.
+func TestWriteDiskBytesPinned(t *testing.T) {
+	g := GNP(150, 0.08, rng.New(77))
+	AssignUniformNodeWeights(g, 32, rng.New(78))
+	AssignUniformEdgeWeights(g, 32, rng.New(79))
+	path := filepath.Join(t.TempDir(), "g.rgd1")
+	if err := WriteDisk(path, g); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ab37d48c5aed6d15be069ae26f72e69bdfae3becaaa10ea4cfbddd1ec740d617"
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
+		t.Fatalf("RGD1 image of a %d-node/%d-edge graph (%d bytes) hashes %s, want %s", g.N(), g.M(), len(blob), got, want)
 	}
 }
 
@@ -69,13 +87,13 @@ func TestDiskMatchesTextCodec(t *testing.T) {
 	if err := Encode(&canon, g); err != nil {
 		t.Fatal(err)
 	}
-	viaCodec, err := Decode(bytes.NewReader(canon.Bytes()))
+	viaCodec, err := Decode(bytes.NewReader(canon.Bytes()), ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "g.rgd1")
-	if err := WriteDisk(path, g, DiskOptions{}); err != nil {
+	if err := WriteDisk(path, g); err != nil {
 		t.Fatal(err)
 	}
 	d, err := OpenDisk(path)
@@ -91,7 +109,7 @@ func TestDiskMatchesTextCodec(t *testing.T) {
 func TestDiskWeightMutationIsPrivate(t *testing.T) {
 	g := buildWeighted(t, []int64{1, 2}, [][3]int64{{0, 1, 3}})
 	path := filepath.Join(t.TempDir(), "g.rgd1")
-	if err := WriteDisk(path, g, DiskOptions{}); err != nil {
+	if err := WriteDisk(path, g); err != nil {
 		t.Fatal(err)
 	}
 	d, err := OpenDisk(path)
@@ -117,7 +135,7 @@ func TestDiskWriteIsAtomic(t *testing.T) {
 	g := Star(5)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.rgd1")
-	if err := WriteDisk(path, g, DiskOptions{}); err != nil {
+	if err := WriteDisk(path, g); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
@@ -126,7 +144,7 @@ func TestDiskWriteIsAtomic(t *testing.T) {
 	// Overwrite with a different graph: readers must see one or the other,
 	// and after return, the new one.
 	g2 := Cycle(8)
-	if err := WriteDisk(path, g2, DiskOptions{}); err != nil {
+	if err := WriteDisk(path, g2); err != nil {
 		t.Fatal(err)
 	}
 	d, err := OpenDisk(path)
@@ -154,7 +172,7 @@ func TestOpenDiskRejectsCorruption(t *testing.T) {
 	g := GNP(64, 0.1, rng.New(55))
 	write := func(t *testing.T) string {
 		path := filepath.Join(t.TempDir(), "g.rgd1")
-		if err := WriteDisk(path, g, DiskOptions{}); err != nil {
+		if err := WriteDisk(path, g); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -239,7 +257,7 @@ func TestOpenDiskRejectsCorruption(t *testing.T) {
 func TestDecodeDiskImage(t *testing.T) {
 	g := GNP(64, 0.1, rng.New(66))
 	path := filepath.Join(t.TempDir(), "g.rgd1")
-	if err := WriteDisk(path, g, DiskOptions{CompressNeighbors: true}); err != nil {
+	if err := WriteDisk(path, g); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)

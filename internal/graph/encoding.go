@@ -31,10 +31,13 @@ func Encode(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Decode parses the format written by Encode.
-func Decode(r io.Reader) (*Graph, error) {
+// Decode parses the format written by Encode. The header's sizes are
+// checked against opts before anything past it is read, and the Builder is
+// sized from the weights line only once that line has been read, so a
+// header alone reserves nothing.
+func Decode(r io.Reader, opts ReadOptions) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	sc.Buffer(make([]byte, 64<<10), 1<<26)
 	readLine := func() (string, error) {
 		for sc.Scan() {
 			line := strings.TrimSpace(sc.Text())
@@ -59,27 +62,31 @@ func Decode(r io.Reader) (*Graph, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: negative sizes in header %q", header)
 	}
-	b := NewBuilder(n)
+	if err := opts.checkDeclared(int64(n), int64(m)); err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
+	}
 
+	var fields []string
 	if n > 0 {
 		wLine, err := readLine()
 		if err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
-		fields := strings.Fields(wLine)
+		fields = strings.Fields(wLine)
 		if len(fields) != n {
 			return nil, fmt.Errorf("graph: want %d node weights, got %d", n, len(fields))
 		}
-		for v, f := range fields {
-			w, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("graph: bad weight %q: %w", f, err)
-			}
-			if w <= 0 {
-				return nil, fmt.Errorf("graph: node %d has non-positive weight %d", v, w)
-			}
-			b.SetNodeWeight(v, w)
+	}
+	b := NewBuilder(n)
+	for v, f := range fields {
+		w, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("graph: bad weight %q: %w", f, err)
 		}
+		if w <= 0 {
+			return nil, fmt.Errorf("graph: node %d has non-positive weight %d", v, w)
+		}
+		b.SetNodeWeight(v, w)
 	}
 
 	for i := 0; i < m; i++ {

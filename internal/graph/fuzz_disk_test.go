@@ -19,8 +19,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("-1 0\n")
 	f.Add("0 99999999999999999999\n")
 	f.Fuzz(func(t *testing.T, text string) {
-		opts := ReadOptions{MaxNodes: fuzzSizeCap, MaxEdges: fuzzSizeCap, SkipSelfLoops: true, DedupEdges: true}
-		g, err := ReadEdgeList(strings.NewReader(text), opts)
+		g, err := ReadEdgeList(strings.NewReader(text), ReadOptions{MaxNodes: fuzzSizeCap, MaxEdges: fuzzSizeCap})
 		if err != nil {
 			return // malformed inputs only need a clean rejection
 		}
@@ -41,6 +40,35 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
+// FuzzReadMatrixMarket fuzzes the Matrix Market reader that
+// application/x-matrix-market uploads run: any input it accepts under the
+// fuzz caps must survive a WriteMatrixMarket/ReadMatrixMarket round trip
+// unchanged. The committed seed corpus lives in
+// testdata/fuzz/FuzzReadMatrixMarket.
+func FuzzReadMatrixMarket(f *testing.F) {
+	f.Add("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n")
+	f.Add("%%MatrixMarket matrix coordinate integer general\n% comment\n3 3 4\n1 2 5\n2 1 5\n2 3 7\n3 2 7\n")
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 0.5e1\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 4 2\n1 1\n1 4\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n1048576 1048576 4194304\n")
+	f.Add("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 -3\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		g, err := ReadMatrixMarket(strings.NewReader(text), ReadOptions{MaxNodes: fuzzSizeCap, MaxEdges: fuzzSizeCap})
+		if err != nil {
+			return // malformed inputs only need a clean rejection
+		}
+		var buf bytes.Buffer
+		if err := WriteMatrixMarket(&buf, g); err != nil {
+			t.Fatalf("writing a parsed graph: %v", err)
+		}
+		g2, err := ReadMatrixMarket(bytes.NewReader(buf.Bytes()), ReadOptions{})
+		if err != nil {
+			t.Fatalf("re-reading a written graph: %v\nwritten:\n%s", err, buf.Bytes())
+		}
+		sameGraph(t, g2, g)
+	})
+}
+
 // FuzzDiskCSR fuzzes the RGD1 image decoder through DecodeDisk, the
 // full-verification entry point for untrusted bytes: arbitrary images must
 // be rejected cleanly (no panics, no out-of-range aliasing), and any image
@@ -49,16 +77,18 @@ func FuzzReadEdgeList(f *testing.F) {
 // variants) lives in testdata/fuzz/FuzzDiskCSR.
 func FuzzDiskCSR(f *testing.F) {
 	for i, g := range []*Graph{Star(4), Cycle(6)} {
-		for _, compress := range []bool{false, true} {
-			blob := diskImage(f, g, DiskOptions{CompressNeighbors: compress})
-			f.Add(blob)
-			if i == 0 && !compress {
-				// One corrupted variant: flip a byte inside the first section.
-				bad := bytes.Clone(blob)
-				bad[diskHeaderSize] ^= 0x01
-				f.Add(bad)
-			}
+		blob := diskImage(f, g)
+		f.Add(blob)
+		if i == 0 {
+			// One corrupted variant: flip a byte inside the first section.
+			bad := bytes.Clone(blob)
+			bad[diskHeaderSize] ^= 0x01
+			f.Add(bad)
 		}
+		// A flag bit set: no flag is defined, so the image must be refused.
+		flagged := bytes.Clone(blob)
+		flagged[4] |= 0x01
+		f.Add(flagged)
 	}
 	f.Add([]byte("RGD1"))
 	f.Add([]byte{})
@@ -72,7 +102,7 @@ func FuzzDiskCSR(f *testing.F) {
 		}
 		// Re-encode in memory (no file, no fsync — fuzz throughput) and
 		// decode again: the image must round-trip to the same graph.
-		g2, err := DecodeDisk(diskImage(t, g, DiskOptions{}))
+		g2, err := DecodeDisk(diskImage(t, g))
 		if err != nil {
 			t.Fatalf("re-decoding a re-encoded graph: %v", err)
 		}
@@ -82,9 +112,9 @@ func FuzzDiskCSR(f *testing.F) {
 
 // diskImage renders g's RGD1 image into memory via the same layout and
 // padding the file writer uses.
-func diskImage(tb testing.TB, g *Graph, opts DiskOptions) []byte {
+func diskImage(tb testing.TB, g *Graph) []byte {
 	tb.Helper()
-	hdr, sections := diskLayout(g, opts)
+	hdr, sections := diskLayout(g)
 	var buf bytes.Buffer
 	if err := writePadded(&buf, hdr, sections); err != nil {
 		tb.Fatal(err)

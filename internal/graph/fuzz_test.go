@@ -2,34 +2,14 @@ package graph
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 )
 
-// fuzzSizeCap bounds the sizes a fuzzed header may declare. Decode trusts
-// its header and allocates for it — the service layer guards untrusted
-// inputs with its own header check (httpapi.checkGraphHeader), and the fuzz
-// target mirrors that guard so the fuzzer probes the parser, not the
-// allocator.
+// fuzzSizeCap is the node and edge cap the fuzz targets pass their
+// readers, so the fuzzer probes the parsers, not graphs of the upload caps'
+// size.
 const fuzzSizeCap = 1 << 16
-
-// headerTooLarge reports whether the first parseable header line declares
-// sizes beyond the fuzz cap.
-func headerTooLarge(text string) bool {
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var n, m int
-		if _, err := fmt.Sscanf(line, "%d %d", &n, &m); err != nil {
-			return false
-		}
-		return n > fuzzSizeCap || m > fuzzSizeCap
-	}
-	return false
-}
 
 // FuzzGraphEncodeDecode fuzzes the text codec: any input Decode accepts must
 // re-encode to a form Decode accepts again, and the round trip must preserve
@@ -44,10 +24,7 @@ func FuzzGraphEncodeDecode(f *testing.F) {
 	f.Add("3 3\n1 2 3\n0 1 5\n0 1 5\n1 2 7\n") // duplicate edge line
 	f.Add("5 0\n1 2 3 4 5\n")
 	f.Fuzz(func(t *testing.T, text string) {
-		if headerTooLarge(text) {
-			t.Skip("header beyond the fuzz size cap")
-		}
-		g, err := Decode(strings.NewReader(text))
+		g, err := Decode(strings.NewReader(text), ReadOptions{MaxNodes: fuzzSizeCap, MaxEdges: fuzzSizeCap})
 		if err != nil {
 			return // malformed inputs only need to be rejected cleanly
 		}
@@ -55,7 +32,7 @@ func FuzzGraphEncodeDecode(f *testing.F) {
 		if err := Encode(&buf, g); err != nil {
 			t.Fatalf("encoding a decoded graph: %v", err)
 		}
-		g2, err := Decode(bytes.NewReader(buf.Bytes()))
+		g2, err := Decode(bytes.NewReader(buf.Bytes()), ReadOptions{})
 		if err != nil {
 			t.Fatalf("re-decoding an encoded graph: %v\nencoded:\n%s", err, buf.Bytes())
 		}

@@ -5,8 +5,7 @@
 // G = (V, w, E) (MaxIS, §2) and on its line graph L(G) whose node weights are
 // G's edge weights (matching, §2.4). This package provides both, plus the
 // generators used by the benchmark harness and the structural predicates
-// (independent set, matching, bipartiteness) used to verify every algorithm's
-// output.
+// (independent set, matching) used to verify every algorithm's output.
 //
 // Nodes are identified by dense integers 0..N()-1; this doubles as the
 // CONGEST model's assumption of unique O(log n)-bit identifiers.
@@ -18,6 +17,13 @@
 // edge-ID lookups binary-search the sorted neighbor segment instead of
 // consulting a hash map, and Neighbors/IncidentEdges return zero-copy
 // subslices of the CSR arrays.
+//
+// Formats: one reader per format — Decode (text), DecodeBinary (RGB1, the
+// upload wire format), ReadEdgeList and ReadMatrixMarket (real-world files)
+// — each with its writer, plus the RGD1 on-disk CSR (WriteDisk, OpenDisk).
+// Every reader takes ReadOptions caps and reserves memory only for input it
+// has read, so a header that declares a huge graph costs an error, not an
+// allocation.
 //
 // Layer (DESIGN.md §2, §2a): graph is the bottom substrate; every other
 // package imports it and it imports only internal/rng.
@@ -202,17 +208,6 @@ func (g *Graph) MaxNodeWeight() int64 {
 	return w
 }
 
-// MaxEdgeWeight returns the maximum edge weight; 1 if there are no edges.
-func (g *Graph) MaxEdgeWeight() int64 {
-	var w int64 = 1
-	for _, x := range g.edgeW {
-		if x > w {
-			w = x
-		}
-	}
-	return w
-}
-
 // TotalNodeWeight returns Σ_v w(v).
 func (g *Graph) TotalNodeWeight() int64 {
 	var s int64
@@ -379,67 +374,6 @@ func (g *Graph) MatchedMates(m []int) []int {
 	return mate
 }
 
-// Bipartition attempts to 2-color g; it returns side[v] ∈ {0,1} and true on
-// success, or nil and false if g has an odd cycle. Isolated components are
-// assigned greedily starting from side 0.
-func (g *Graph) Bipartition() ([]int, bool) {
-	side := make([]int, g.n)
-	for i := range side {
-		side[i] = -1
-	}
-	queue := make([]int, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		if side[s] != -1 {
-			continue
-		}
-		side[s] = 0
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, u := range g.Neighbors(v) {
-				if side[u] == -1 {
-					side[u] = 1 - side[v]
-					queue = append(queue, int(u))
-				} else if side[u] == side[v] {
-					return nil, false
-				}
-			}
-		}
-	}
-	return side, true
-}
-
-// ConnectedComponents returns comp[v] = component index, and the number of
-// components.
-func (g *Graph) ConnectedComponents() ([]int, int) {
-	comp := make([]int, g.n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	c := 0
-	queue := make([]int, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = c
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, u := range g.Neighbors(v) {
-				if comp[u] == -1 {
-					comp[u] = c
-					queue = append(queue, int(u))
-				}
-			}
-		}
-		c++
-	}
-	return comp, c
-}
-
 // LineGraph returns L(G): one node per edge of g, adjacent iff the edges
 // share an endpoint. Node weights of L(G) are the edge weights of g, as
 // required for reducing maximum weight matching to MaxIS (§2.4).
@@ -468,31 +402,4 @@ func (g *Graph) LineGraph() *Graph {
 		}
 	}
 	return b.MustBuild()
-}
-
-// InducedSubgraph returns the subgraph induced by keep (keep[v] true means v
-// survives) together with old→new and new→old node maps.
-func (g *Graph) InducedSubgraph(keep []bool) (sub *Graph, oldToNew, newToOld []int) {
-	oldToNew = make([]int, g.n)
-	for i := range oldToNew {
-		oldToNew[i] = -1
-	}
-	for v := 0; v < g.n; v++ {
-		if keep[v] {
-			oldToNew[v] = len(newToOld)
-			newToOld = append(newToOld, v)
-		}
-	}
-	b := NewBuilder(len(newToOld))
-	for i, v := range newToOld {
-		b.SetNodeWeight(i, g.nodeW[v])
-	}
-	for i, e := range g.edges {
-		if keep[e.U] && keep[e.V] {
-			if err := b.AddWeightedEdge(oldToNew[e.U], oldToNew[e.V], g.edgeW[i]); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return b.MustBuild(), oldToNew, newToOld
 }

@@ -94,7 +94,7 @@ func TestWeights(t *testing.T) {
 	if g.NodeWeight(0) != 10 || g.EdgeWeight(0) != 7 {
 		t.Fatal("weights not stored")
 	}
-	if g.MaxNodeWeight() != 10 || g.MaxEdgeWeight() != 7 || g.TotalNodeWeight() != 14 {
+	if g.MaxNodeWeight() != 10 || g.TotalNodeWeight() != 14 {
 		t.Fatal("aggregate weights wrong")
 	}
 	defer func() {
@@ -158,13 +158,54 @@ func TestGenerators(t *testing.T) {
 				t.Errorf("MaxDegree = %d, want %d", tc.g.MaxDegree(), tc.maxDeg)
 			}
 			if tc.checkBi {
-				_, ok := tc.g.Bipartition()
-				if ok != tc.bipart {
-					t.Errorf("Bipartition ok = %v, want %v", ok, tc.bipart)
+				if ok := bipartite(tc.g); ok != tc.bipart {
+					t.Errorf("bipartite = %v, want %v", ok, tc.bipart)
 				}
 			}
 		})
 	}
+}
+
+// bfsColor 2-colors g breadth-first from every uncolored node and reports
+// whether the coloring is proper, and how many searches it started (the
+// number of connected components).
+func bfsColor(g *Graph) (proper bool, components int) {
+	side := make([]int, g.N())
+	for i := range side {
+		side[i] = -1
+	}
+	proper = true
+	for s := 0; s < g.N(); s++ {
+		if side[s] != -1 {
+			continue
+		}
+		components++
+		side[s] = 0
+		queue := []int{s}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, u := range g.Neighbors(v) {
+				if side[u] == -1 {
+					side[u] = 1 - side[v]
+					queue = append(queue, int(u))
+				} else if side[u] == side[v] {
+					proper = false
+				}
+			}
+		}
+	}
+	return proper, components
+}
+
+func bipartite(g *Graph) bool {
+	ok, _ := bfsColor(g)
+	return ok
+}
+
+func connected(g *Graph) bool {
+	_, c := bfsColor(g)
+	return c <= 1
 }
 
 func TestRandomTreeConnected(t *testing.T) {
@@ -174,9 +215,8 @@ func TestRandomTreeConnected(t *testing.T) {
 		if g.M() != max(0, n-1) {
 			t.Fatalf("tree on %d nodes has %d edges", n, g.M())
 		}
-		_, nc := g.ConnectedComponents()
-		if nc != 1 && n > 0 {
-			t.Fatalf("tree on %d nodes has %d components", n, nc)
+		if !connected(g) {
+			t.Fatalf("tree on %d nodes is not connected", n)
 		}
 	}
 }
@@ -216,7 +256,7 @@ func TestRandomBipartite(t *testing.T) {
 			t.Fatalf("edge %v within one side", e)
 		}
 	}
-	if _, ok := g.Bipartition(); !ok {
+	if !bipartite(g) {
 		t.Fatal("RandomBipartite produced a non-bipartite graph")
 	}
 }
@@ -253,27 +293,6 @@ func TestLineGraphOfTriangleIsTriangle(t *testing.T) {
 	lg := g.LineGraph()
 	if lg.N() != 3 || lg.M() != 3 {
 		t.Fatalf("L(K3): N=%d M=%d, want 3,3", lg.N(), lg.M())
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := Complete(5)
-	AssignUniformNodeWeights(g, 100, rng.New(6))
-	keep := []bool{true, false, true, true, false}
-	sub, o2n, n2o := g.InducedSubgraph(keep)
-	if sub.N() != 3 || sub.M() != 3 {
-		t.Fatalf("sub: N=%d M=%d", sub.N(), sub.M())
-	}
-	for newID, oldID := range n2o {
-		if o2n[oldID] != newID {
-			t.Fatal("maps inconsistent")
-		}
-		if sub.NodeWeight(newID) != g.NodeWeight(oldID) {
-			t.Fatal("weights not carried to subgraph")
-		}
-	}
-	if o2n[1] != -1 || o2n[4] != -1 {
-		t.Fatal("dropped nodes should map to -1")
 	}
 }
 
@@ -324,21 +343,6 @@ func TestMatchingPredicates(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	b := NewBuilder(6)
-	b.MustAddEdge(0, 1)
-	b.MustAddEdge(2, 3)
-	b.MustAddEdge(3, 4)
-	g := b.MustBuild()
-	comp, nc := g.ConnectedComponents()
-	if nc != 3 {
-		t.Fatalf("components = %d, want 3", nc)
-	}
-	if comp[0] != comp[1] || comp[2] != comp[3] || comp[3] != comp[4] || comp[0] == comp[2] || comp[5] == comp[0] || comp[5] == comp[2] {
-		t.Fatalf("comp = %v", comp)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := rng.New(7)
 	g := GNP(20, 0.25, r)
@@ -349,7 +353,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := Encode(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	h, err := Decode(&buf)
+	h, err := Decode(&buf, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,22 +390,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Decode(bytes.NewBufferString(tc.in)); err == nil {
+			if _, err := Decode(bytes.NewBufferString(tc.in), ReadOptions{}); err == nil {
 				t.Fatalf("Decode(%q) succeeded, want error", tc.in)
 			}
 		})
-	}
-}
-
-func TestBipartitionAssignsAllNodes(t *testing.T) {
-	g, _ := RandomBipartite(8, 8, 0.3, rng.New(8))
-	side, ok := g.Bipartition()
-	if !ok {
-		t.Fatal("bipartite graph rejected")
-	}
-	for v, s := range side {
-		if s != 0 && s != 1 {
-			t.Fatalf("node %d got side %d", v, s)
-		}
 	}
 }

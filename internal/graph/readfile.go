@@ -13,14 +13,13 @@ import (
 //	.el .txt .edges .edgelist   whitespace-separated edge list (ReadEdgeList)
 //	.mtx                        Matrix Market coordinate (ReadMatrixMarket)
 //	.rgd1                       on-disk CSR (OpenDisk)
-//	.rgb1 .bin                  compact binary codec (DecodeBinaryStream)
+//	.rgb1 .bin                  compact binary codec (DecodeBinary)
 //
-// opts applies to the text formats; the binary formats carry their own
-// structure and ignore it. For .rgd1 the file is mmapped and the mapping
-// deliberately stays live for the process lifetime — the returned Graph
-// aliases the mapped arrays, so there is no safe point to unmap. Callers
-// that need the mapping's lifecycle (Close, Verify) should use OpenDisk
-// directly.
+// opts caps every format (an .rgd1 file is checked once mapped). For .rgd1
+// the file is mmapped and the mapping deliberately stays live for the
+// process lifetime — the returned Graph aliases the mapped arrays, so there
+// is no safe point to unmap. Callers that need the mapping's lifecycle
+// (Close, Verify) should use OpenDisk directly.
 func ReadFile(path string, opts ReadOptions) (*Graph, error) {
 	ext := strings.ToLower(filepath.Ext(path))
 	switch ext {
@@ -37,10 +36,14 @@ func ReadFile(path string, opts ReadOptions) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := opts.checkDeclared(int64(d.N()), int64(d.M())); err != nil {
+			d.Close()
+			return nil, fmt.Errorf("graph: rgd1: %s: %w", path, err)
+		}
 		return d.Graph, nil
 	case ".rgb1", ".bin":
 		return readFileWith(path, func(f *os.File) (*Graph, error) {
-			return DecodeBinaryStream(f, opts.MaxNodes, opts.MaxEdges)
+			return DecodeBinary(f, opts)
 		})
 	default:
 		return nil, fmt.Errorf("graph: unrecognized extension %q (want .el, .txt, .edges, .edgelist, .mtx, .rgd1, .rgb1, or .bin)", ext)

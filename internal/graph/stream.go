@@ -15,28 +15,35 @@ import (
 // is never resident — parse integers straight out of the line bytes without
 // per-line allocation, and feed a Builder, so a million-node file costs the
 // CSR arrays plus one I/O buffer and nothing else. Node IDs auto-grow through
-// Builder.EnsureNode, so streams that never announce n still work.
+// Builder.EnsureNode, so streams that never announce n still work, and a
+// declared size reserves nothing. Both drop self-loops and duplicate edges
+// (keeping the first occurrence's weight): SNAP dumps contain self-loops and
+// list both arc directions, and general Matrix Market files may carry both
+// triangles.
 
-// ReadOptions bounds and shapes a streamed ingestion. The zero value accepts
-// any well-formed input as-is.
+// ReadOptions caps what a reader accepts. Every reader in this package
+// (Decode, DecodeBinary, ReadEdgeList, ReadMatrixMarket, ReadFile) checks a
+// declared size against the caps before reading past the header, and a
+// streamed node ID or edge count as soon as it is read — the guard the HTTP
+// layer applies while the body is still arriving. Zero means unbounded.
 type ReadOptions struct {
-	// MaxNodes / MaxEdges abort the stream as soon as a node ID or the edge
-	// count exceeds the cap — the guard the HTTP layer applies while the
-	// body is still arriving, long before anything graph-sized is allocated.
-	// Zero means unbounded.
 	MaxNodes int
 	MaxEdges int
-	// SkipSelfLoops drops u–u lines instead of failing the stream; SNAP
-	// dumps contain them routinely.
-	SkipSelfLoops bool
-	// DedupEdges drops repeated endpoint pairs (keeping the first
-	// occurrence's weight) after the stream ends instead of failing Build.
-	// Directed SNAP dumps list both arc directions; general Matrix Market
-	// files may carry both triangles.
-	DedupEdges bool
 }
 
-// streamLimits validates a parsed endpoint/edge against opts during the scan.
+// checkDeclared rejects a header that declares more nodes or edges than the
+// caps allow.
+func (o ReadOptions) checkDeclared(n, m int64) error {
+	if o.MaxNodes > 0 && n > int64(o.MaxNodes) {
+		return fmt.Errorf("%d nodes exceeds cap %d", n, o.MaxNodes)
+	}
+	if o.MaxEdges > 0 && m > int64(o.MaxEdges) {
+		return fmt.Errorf("%d edges exceeds cap %d", m, o.MaxEdges)
+	}
+	return nil
+}
+
+// check validates a parsed endpoint/edge against the caps during the scan.
 func (o ReadOptions) check(u, v, edges int) error {
 	if o.MaxNodes > 0 && (u >= o.MaxNodes || v >= o.MaxNodes) {
 		return fmt.Errorf("graph: node id %d exceeds cap %d", max(u, v), o.MaxNodes)
@@ -104,18 +111,9 @@ func parseFields(line []byte, out *[4]int64) int {
 // ignored. Node IDs are non-negative integers; the node count is the largest
 // ID seen plus one (auto-grown, so no header is needed). A missing weight
 // column means weight 1; an explicit weight must be positive. All node
-// weights are 1.
+// weights are 1. Self-loop lines are skipped and repeated endpoint pairs
+// keep their first occurrence.
 func ReadEdgeList(r io.Reader, opts ReadOptions) (*Graph, error) {
-	b, err := streamEdgeList(r, opts)
-	if err != nil {
-		return nil, err
-	}
-	return b.Build()
-}
-
-// streamEdgeList is ReadEdgeList up to (not including) the Build freeze; the
-// disk writer reuses it to spill a stream straight to RGD1.
-func streamEdgeList(r io.Reader, opts ReadOptions) (*Builder, error) {
 	sc := lineScanner(r)
 	b := NewBuilder(0)
 	var f [4]int64
@@ -150,10 +148,7 @@ func streamEdgeList(r io.Reader, opts ReadOptions) (*Builder, error) {
 			}
 		}
 		if u == v {
-			if opts.SkipSelfLoops {
-				continue
-			}
-			return nil, fmt.Errorf("graph: edge list line %d: self-loop at node %d", lineNo, u)
+			continue
 		}
 		if err := opts.check(int(u), int(v), b.M()); err != nil {
 			return nil, fmt.Errorf("%w (line %d)", err, lineNo)
@@ -166,10 +161,8 @@ func streamEdgeList(r io.Reader, opts ReadOptions) (*Builder, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
-	if opts.DedupEdges {
-		b.DedupEdges()
-	}
-	return b, nil
+	b.DedupEdges()
+	return b.Build()
 }
 
 // WriteEdgeList renders g as a whitespace edge list ("u v w" lines, insertion
@@ -209,9 +202,10 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // (i, j[, value]); diagonal entries are skipped (a simple graph has no
 // self-loops). Integer values become edge weights (and must be positive);
 // pattern and real files yield unit weights — real values are structural
-// only, since the paper's algorithms take integer weights. General files are
-// deduplicated automatically (both triangles may be present); symmetric files
-// store one triangle and need no dedup.
+// only, since the paper's algorithms take integer weights. Repeated entries
+// (both triangles of a general file) keep their first occurrence. Nodes
+// appear as entries name them; the ones only the size line declares are
+// added once every entry has been read.
 func ReadMatrixMarket(r io.Reader, opts ReadOptions) (*Graph, error) {
 	sc := lineScanner(r)
 	if !sc.Scan() {
@@ -264,14 +258,11 @@ func ReadMatrixMarket(r io.Reader, opts ReadOptions) (*Graph, error) {
 		return nil, fmt.Errorf("graph: MatrixMarket sizes %d×%d nnz=%d out of range", rows, cols, nnz)
 	}
 	n := int(max(rows, cols))
-	if opts.MaxNodes > 0 && n > opts.MaxNodes {
-		return nil, fmt.Errorf("graph: MatrixMarket declares %d nodes, cap %d", n, opts.MaxNodes)
-	}
-	if opts.MaxEdges > 0 && nnz > int64(opts.MaxEdges) {
-		return nil, fmt.Errorf("graph: MatrixMarket declares %d entries, cap %d", nnz, opts.MaxEdges)
+	if err := opts.checkDeclared(int64(n), nnz); err != nil {
+		return nil, fmt.Errorf("graph: MatrixMarket: %w", err)
 	}
 
-	b := NewBuilderHint(n, int(nnz))
+	b := NewBuilder(0)
 	entries := int64(0)
 	for sc.Scan() {
 		lineNo++
@@ -323,6 +314,7 @@ func ReadMatrixMarket(r io.Reader, opts ReadOptions) (*Graph, error) {
 				return nil, fmt.Errorf("graph: MatrixMarket line %d: non-positive weight %d", lineNo, w)
 			}
 		}
+		b.EnsureNode(int(max(i, j) - 1))
 		if err := b.AddWeightedEdge(int(i-1), int(j-1), w); err != nil {
 			return nil, fmt.Errorf("graph: MatrixMarket line %d: %w", lineNo, err)
 		}
@@ -333,9 +325,10 @@ func ReadMatrixMarket(r io.Reader, opts ReadOptions) (*Graph, error) {
 	if entries != nnz {
 		return nil, fmt.Errorf("graph: MatrixMarket declares %d entries, got %d", nnz, entries)
 	}
-	if symmetry == "general" || opts.DedupEdges {
-		b.DedupEdges()
+	if n > 0 {
+		b.EnsureNode(n - 1)
 	}
+	b.DedupEdges()
 	return b.Build()
 }
 

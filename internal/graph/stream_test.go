@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -36,11 +39,7 @@ func TestReadEdgeListAutoGrowsIsolatedPrefix(t *testing.T) {
 }
 
 func TestReadEdgeListSelfLoops(t *testing.T) {
-	in := "0 0\n0 1\n"
-	if _, err := ReadEdgeList(strings.NewReader(in), ReadOptions{}); err == nil {
-		t.Fatal("self-loop accepted without SkipSelfLoops")
-	}
-	g, err := ReadEdgeList(strings.NewReader(in), ReadOptions{SkipSelfLoops: true})
+	g, err := ReadEdgeList(strings.NewReader("0 0\n0 1\n"), ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +49,9 @@ func TestReadEdgeListSelfLoops(t *testing.T) {
 }
 
 func TestReadEdgeListDedup(t *testing.T) {
-	// Directed dumps list both arc directions; DedupEdges keeps the first.
+	// Directed dumps list both arc directions; the first occurrence stays.
 	in := "0 1 5\n1 0 9\n1 2 3\n"
-	if _, err := ReadEdgeList(strings.NewReader(in), ReadOptions{}); err == nil {
-		t.Fatal("duplicate edge accepted without DedupEdges")
-	}
-	g, err := ReadEdgeList(strings.NewReader(in), ReadOptions{DedupEdges: true})
+	g, err := ReadEdgeList(strings.NewReader(in), ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +198,7 @@ func TestStreamMatchesTextCodec(t *testing.T) {
 		if err := Encode(&canon, g); err != nil {
 			t.Fatal(err)
 		}
-		viaCodec, err := Decode(bytes.NewReader(canon.Bytes()))
+		viaCodec, err := Decode(bytes.NewReader(canon.Bytes()), ReadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,4 +221,65 @@ func TestStreamMatchesTextCodec(t *testing.T) {
 		sameGraph(t, viaEL, viaCodec)
 		sameGraph(t, viaMM, viaCodec)
 	}
+}
+
+// uploadCaps are the caps every HTTP upload reads under
+// (registry.MaxGraphNodes and registry.MaxGraphEdges).
+var uploadCaps = ReadOptions{MaxNodes: 1 << 20, MaxEdges: 1 << 22}
+
+// allocBytes returns the heap bytes one call of f allocates, the least of
+// three calls so that an allocation elsewhere in the process cannot inflate
+// it.
+func allocBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// assertReadProportional checks that decoding a header-only body that
+// declares the upload caps fails, and allocates within 64 KiB of decoding
+// the same body declaring a one-node graph: a reader must reserve memory
+// for the input it has read, not for the sizes a header claims.
+func assertReadProportional(t *testing.T, decode func(body []byte) error, declaresCaps, declaresOne []byte) {
+	t.Helper()
+	if err := decode(declaresCaps); err == nil {
+		t.Fatal("a header-only body declaring the caps decoded")
+	}
+	big := allocBytes(func() { _ = decode(declaresCaps) })
+	small := allocBytes(func() { _ = decode(declaresOne) })
+	if big > small+64<<10 {
+		t.Fatalf("declaring the caps allocated %d bytes, declaring one node %d: %d bytes reserved for input never read",
+			big, small, big-small)
+	}
+}
+
+func TestDecodeBinaryAllocatesWhatItReads(t *testing.T) {
+	header := func(n, m uint64) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint([]byte(binaryMagic), n), m)
+	}
+	assertReadProportional(t, func(body []byte) error {
+		_, err := DecodeBinary(bytes.NewReader(body), uploadCaps)
+		return err
+	}, header(1<<20, 1<<22), header(1, 0))
+}
+
+func TestReadMatrixMarketAllocatesWhatItReads(t *testing.T) {
+	const banner = "%%MatrixMarket matrix coordinate pattern general\n"
+	assertReadProportional(t, func(body []byte) error {
+		_, err := ReadMatrixMarket(bytes.NewReader(body), uploadCaps)
+		return err
+	}, []byte(banner+"1048576 1048576 4194304\n"), []byte(banner+"1 1 0\n"))
+}
+
+func TestDecodeAllocatesWhatItReads(t *testing.T) {
+	assertReadProportional(t, func(body []byte) error {
+		_, err := Decode(bytes.NewReader(body), uploadCaps)
+		return err
+	}, []byte("1048576 4194304\n"), []byte("1 0\n"))
 }

@@ -2,12 +2,16 @@ package httpapi
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/registry"
 	"repro/internal/service"
 )
 
@@ -105,6 +109,39 @@ func TestErrorStatusSurface(t *testing.T) {
 				t.Fatalf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 			}
 		})
+	}
+}
+
+// TestUploadsOverTheCapsAre400 pins the upload caps on every graph reader
+// the API runs: a body that declares or names more nodes or edges than
+// registry.MaxGraphNodes/MaxGraphEdges answers 400 naming the cap.
+func TestUploadsOverTheCapsAre400(t *testing.T) {
+	ts, _, _ := newFullServer(t, service.Config{Workers: 1}, service.BatchConfig{})
+	n, m := registry.MaxGraphNodes, registry.MaxGraphEdges
+	rgb1 := binary.AppendUvarint(binary.AppendUvarint([]byte("RGB1"), uint64(n+1)), 0)
+	cases := []struct{ name, method, path, ctype, body string }{
+		{"inline job graph", "POST", "/v1/jobs", "application/json", fmt.Sprintf(`{"algo":"maxis","graph":"%d 0\n"}`, n+1)},
+		{"inline graph put", "PUT", "/v1/graphs/a", "application/json", fmt.Sprintf(`{"graph":"1 %d\n1\n"}`, m+1)},
+		{"binary upload", "PUT", "/v1/graphs/b", GraphBinaryContentType, string(rgb1)},
+		{"edge list upload", "PUT", "/v1/graphs/c", GraphEdgeListContentType, fmt.Sprintf("0 %d\n", n)},
+		{"matrix market upload", "PUT", "/v1/graphs/d", GraphMatrixMarketContentType,
+			fmt.Sprintf("%%%%MatrixMarket matrix coordinate pattern general\n2 2 %d\n", m+1)},
+	}
+	for _, tc := range cases {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", tc.ctype)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "exceeds cap") {
+			t.Errorf("%s: status %d body %s, want 400 naming the cap", tc.name, resp.StatusCode, raw)
+		}
 	}
 }
 

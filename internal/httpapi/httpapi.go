@@ -704,15 +704,9 @@ func writeSubmitErr(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// streamReadOptions are the ingestion bounds every streamed graph upload
-// shares: the registry's untrusted-input caps, plus the cleanup steps
-// (self-loop and duplicate tolerance) that real-world edge dumps need.
-var streamReadOptions = graph.ReadOptions{
-	MaxNodes:      registry.MaxGraphNodes,
-	MaxEdges:      registry.MaxGraphEdges,
-	SkipSelfLoops: true,
-	DedupEdges:    true,
-}
+// uploadCaps are the registry's untrusted-input caps, which every graph
+// upload, streamed or inline, is read under.
+var uploadCaps = graph.ReadOptions{MaxNodes: registry.MaxGraphNodes, MaxEdges: registry.MaxGraphEdges}
 
 func handlePutGraph(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *http.Request) {
 	t := tenantFrom(r)
@@ -730,21 +724,21 @@ func handlePutGraph(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *htt
 	// graph, never body + graph. limitBody has already capped raw size.
 	switch {
 	case strings.Contains(ctype, GraphBinaryContentType):
-		g, err := graph.DecodeBinaryStream(r.Body, registry.MaxGraphNodes, registry.MaxGraphEdges)
+		g, err := graph.DecodeBinary(r.Body, uploadCaps)
 		if err != nil {
 			writeBodyErr(w, err, "malformed graph")
 			return
 		}
 		src = store.Source{Graph: g}
 	case strings.Contains(ctype, GraphEdgeListContentType):
-		g, err := graph.ReadEdgeList(r.Body, streamReadOptions)
+		g, err := graph.ReadEdgeList(r.Body, uploadCaps)
 		if err != nil {
 			writeBodyErr(w, err, "malformed edge list")
 			return
 		}
 		src = store.Source{Graph: g}
 	case strings.Contains(ctype, GraphMatrixMarketContentType):
-		g, err := graph.ReadMatrixMarket(r.Body, streamReadOptions)
+		g, err := graph.ReadMatrixMarket(r.Body, uploadCaps)
 		if err != nil {
 			writeBodyErr(w, err, "malformed matrix market file")
 			return
@@ -837,28 +831,15 @@ func handleSubmitBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 	}
 }
 
-// decodeInlineGraph validates and decodes an inline text graph — the one
-// path every inline submission (job or store upload) goes through.
-func decodeInlineGraph(text string) (*graph.Graph, error) {
-	if err := checkGraphHeader(text); err != nil {
-		return nil, err
-	}
-	g, err := graph.Decode(strings.NewReader(text))
-	if err != nil {
-		return nil, fmt.Errorf("malformed graph: %v", err)
-	}
-	return g, nil
-}
-
 // toSource validates and converts an upload body to a store source.
 func toSource(text string, gen *GenRequest) (store.Source, error) {
 	switch {
 	case text != "" && gen != nil:
 		return store.Source{}, errors.New("set exactly one of graph and gen, not both")
 	case text != "":
-		g, err := decodeInlineGraph(text)
+		g, err := graph.Decode(strings.NewReader(text), uploadCaps)
 		if err != nil {
-			return store.Source{}, err
+			return store.Source{}, fmt.Errorf("malformed graph: %v", err)
 		}
 		return store.Source{Graph: g}, nil
 	case gen != nil:
@@ -887,9 +868,9 @@ func resolveGraph(st *store.Store, text, name string, gen *GenRequest) (*graph.G
 	case name != "":
 		return st.Acquire(name)
 	case text != "":
-		g, err := decodeInlineGraph(text)
+		g, err := graph.Decode(strings.NewReader(text), uploadCaps)
 		if err != nil {
-			return nil, nop, err
+			return nil, nop, fmt.Errorf("malformed graph: %v", err)
 		}
 		return g, nop, nil
 	case gen != nil:
@@ -906,31 +887,6 @@ func resolveGraph(st *store.Store, text, name string, gen *GenRequest) (*graph.G
 	default:
 		return nil, nop, errors.New("missing graph: set graph (text format), graph_name (stored) or gen (generator spec)")
 	}
-}
-
-// checkGraphHeader bounds the declared sizes of an inline graph before
-// graph.Decode allocates for them: the n/m header is attacker-controlled,
-// and Decode trusts it. Lines that don't parse are left for Decode to
-// reject with its own error.
-func checkGraphHeader(text string) error {
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var n, m int
-		if _, err := fmt.Sscanf(line, "%d %d", &n, &m); err != nil {
-			return nil
-		}
-		if n > registry.MaxGraphNodes {
-			return fmt.Errorf("graph declares %d nodes, cap %d", n, registry.MaxGraphNodes)
-		}
-		if m > registry.MaxGraphEdges {
-			return fmt.Errorf("graph declares %d edges, cap %d", m, registry.MaxGraphEdges)
-		}
-		return nil
-	}
-	return nil
 }
 
 // bodyTooLarge reports whether err is the limitBody cap firing. The typed

@@ -115,21 +115,21 @@ type Result struct {
 // (the ∆ of Lemma B.3's log_K ∆ term).
 func (h *Hypergraph) maxEdgeDegree() int {
 	d := 1
-	seen := make(map[int]bool)
+	// stamp[e] == id+1 marks e as counted for edge id (id itself included,
+	// so it is never counted).
+	stamp := make([]int, len(h.edges))
 	for id, nodes := range h.edges {
-		for k := range seen {
-			delete(seen, k)
-		}
+		stamp[id] = id + 1
+		others := 0
 		for _, v := range nodes {
 			for _, e := range h.incident[v] {
-				if e != id {
-					seen[e] = true
+				if stamp[e] != id+1 {
+					stamp[e] = id + 1
+					others++
 				}
 			}
 		}
-		if len(seen)+1 > d {
-			d = len(seen) + 1
-		}
+		d = max(d, others+1)
 	}
 	return d
 }
@@ -177,6 +177,10 @@ func (h *Hypergraph) NearlyMaximalMatching(p Params, r *rng.Stream) (*Result, er
 	light := make([]bool, m)
 	sums := make([]float64, m)
 	liveCount := m
+	// stamp[e2] == epoch marks e2 as summed for the current edge; bumping
+	// epoch clears every mark at once.
+	stamp := make([]int, m)
+	epoch := 0
 
 	// Run until no hyperedge is fully active — the matching must be maximal
 	// among active nodes (Lemma B.3 guarantees this happens within the
@@ -198,11 +202,12 @@ func (h *Hypergraph) NearlyMaximalMatching(p Params, r *rng.Stream) (*Result, er
 				continue
 			}
 			s := 0.0
-			seen := map[int]bool{e: true}
+			epoch++
+			stamp[e] = epoch
 			for _, v := range h.edges[e] {
 				for _, e2 := range h.incident[v] {
-					if liveEdge[e2] && !seen[e2] {
-						seen[e2] = true
+					if liveEdge[e2] && stamp[e2] != epoch {
+						stamp[e2] = epoch
 						s += prob[e2]
 					}
 				}

@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/rng"
 )
 
@@ -174,5 +175,27 @@ func TestNMMRankOne(t *testing.T) {
 	}
 	if len(res.Matching) != 4 {
 		t.Fatalf("matched %d singletons, want 4", len(res.Matching))
+	}
+}
+
+// TestNMMAllocationsRepeat pins that a run's allocation count depends only
+// on its input: benchtab's perf gate compares allocs_per_run for a fixed
+// (n, trials, seed) against a committed baseline, so the oneeps count it
+// reports must not vary from run to run.
+func TestNMMAllocationsRepeat(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	h := randomHypergraph(60, 240, 4, rng.New(7))
+	run := func() {
+		if _, err := h.NearlyMaximalMatching(Params{K: 2, Delta: 0.1}, rng.New(11)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := testing.AllocsPerRun(1, run)
+	for i := 1; i < 20; i++ {
+		if got := testing.AllocsPerRun(1, run); got != first {
+			t.Fatalf("run %d made %v allocations, run 0 made %v", i, got, first)
+		}
 	}
 }

@@ -127,7 +127,7 @@ func TestCSRMatchesReferenceSemanticsOnAllGenerators(t *testing.T) {
 				if err := graph.Encode(&buf, g); err != nil {
 					t.Fatal(err)
 				}
-				h, err := graph.Decode(&buf)
+				h, err := graph.Decode(&buf, graph.ReadOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -890,7 +890,7 @@ func groupCells(cells []BatchCellView) []BatchGroup {
 	var order []string
 	accs := make(map[string]*acc)
 	for _, c := range cells {
-		key := groupKey(c)
+		key := GroupKey(c.Graph, c.Algo, c.Params)
 		a, ok := accs[key]
 		if !ok {
 			p := c.Params
@@ -931,13 +931,17 @@ func groupCells(cells []BatchCellView) []BatchGroup {
 	return out
 }
 
-func groupKey(c BatchCellView) string {
-	p := c.Params
+// GroupKey is the seedless grouping key of a cell: its graph and the cache
+// key of its parameters with the seed zeroed. A batch's result groups and
+// the cluster coordinator's dispatch groups both bucket cells by it. Cells
+// are validated before they are grouped, so the fallback for an
+// unregistered algorithm only keeps the key well defined.
+func GroupKey(graph, algo string, p registry.Params) string {
 	p.Seed = 0
-	if spec, ok := registry.Get(c.Algo); ok {
-		return c.Graph + "|" + spec.CacheKey(p)
+	if spec, ok := registry.Get(algo); ok {
+		return graph + "|" + spec.CacheKey(p)
 	}
-	return fmt.Sprintf("%s|%s|%+v", c.Graph, c.Algo, p)
+	return graph + "|" + algo
 }
 
 // jobExecutor is the single-node Executor: each cell becomes a member job

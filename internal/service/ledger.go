@@ -417,6 +417,17 @@ func OpenBatches(svc *Service, st *store.Store, cfg BatchConfig) (*Batches, erro
 	}
 	slices.SortFunc(terminal, compareBatchIDs)
 	slices.SortFunc(unfinished, func(x, y *batch) int { return compareBatchIDs(x.id, y.id) })
+	// The log replays every submit since the last snapshot, including
+	// batches retention had already evicted: evict them again, oldest first.
+	if over := len(terminal) - b.cfg.MaxBatches; over > 0 {
+		for _, id := range terminal[:over] {
+			delete(b.batches, id)
+		}
+		terminal = terminal[over:]
+	}
+	for _, bt := range b.batches {
+		b.cellCount.Add(uint64(len(bt.cells)))
+	}
 	b.terminal = terminal
 	for _, bt := range unfinished {
 		b.resume(bt)
@@ -453,8 +464,6 @@ func (b *Batches) replaySubmit(p submitPayload) *batch {
 	if n, err := strconv.ParseUint(p.ID[1:], 10, 64); err == nil && n > b.nextID {
 		b.nextID = n
 	}
-	b.ledger.batchesResumed.Add(1)
-	b.cellCount.Add(uint64(len(p.Cells)))
 	return bt
 }
 
@@ -511,6 +520,7 @@ func (b *Batches) resume(bt *batch) {
 		"trace", bt.traceID,
 		"restored", bt.terminal,
 		"pending", pending)
+	b.ledger.batchesResumed.Add(1)
 	b.submittedCount.Add(1)
 	b.start(bt, graphs)
 }

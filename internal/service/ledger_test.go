@@ -2,6 +2,7 @@ package service
 
 import (
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -425,5 +426,87 @@ func TestLedgerResumeWhileResumedBatchesFinish(t *testing.T) {
 		if _, ok := b2.Get(id); ok {
 			t.Fatalf("restored finished batch %s outlived the resumed ones", id)
 		}
+	}
+}
+
+// TestLedgerCrashRestartKeepsRetentionBound: without a final snapshot the
+// log replays the submit record of every batch since the last snapshot,
+// including the ones retention had already evicted. A restart must evict
+// them again, oldest first, and count none of the finished batches as
+// resumed.
+func TestLedgerCrashRestartKeepsRetentionBound(t *testing.T) {
+	root := t.TempDir()
+	storeCfg := store.Config{WALDir: filepath.Join(root, "store-wal"), SpillDir: filepath.Join(root, "spill")}
+	batchWAL := filepath.Join(root, "batch-wal")
+
+	st, err := store.Open(storeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Workers: 2, QueueSize: 64})
+	// Close drains every record to disk, then dies writing the final
+	// snapshot: a crash that loses nothing but the snapshot.
+	crashAtSnapshot := &wal.TestHooks{CrashAt: func(point string) bool { return point == wal.PointSnapTemp }}
+	b, err := OpenBatches(svc, st, BatchConfig{WALDir: batchWAL, MaxBatches: 2, WALHooks: crashAtSnapshot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Put("g", store.Source{Gen: "gnp", GenParams: registry.GenParams{N: 20, P: 0.2, Seed: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 6; i++ {
+		v, err := b.Submit(BatchSpec{Graphs: []string{"g"}, Algos: []string{"maxis"}, Seeds: []uint64{uint64(i + 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if waitBatch(t, b, v.ID).State != BatchDone {
+			t.Fatalf("batch %s did not finish", v.ID)
+		}
+		ids = append(ids, v.ID)
+	}
+	if _, ok := b.Get(ids[0]); ok {
+		t.Fatalf("%s retained before the crash, want it evicted", ids[0])
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(storeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	svc2 := New(Config{Workers: 2, QueueSize: 64})
+	defer svc2.Close()
+	b2, err := OpenBatches(svc2, st2, BatchConfig{WALDir: batchWAL, MaxBatches: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	lm, _ := b2.LedgerMetrics()
+	if lm.ReplayedSnapshots != 0 || lm.ReplayedRecords == 0 {
+		t.Fatalf("replayed %d snapshots and %d records, want the records alone", lm.ReplayedSnapshots, lm.ReplayedRecords)
+	}
+	var kept []string
+	for _, v := range b2.List() {
+		kept = append(kept, v.ID)
+	}
+	slices.Sort(kept)
+	if want := ids[4:]; !slices.Equal(kept, want) {
+		t.Fatalf("retained %v after the restart, want the newest MaxBatches = 2: %v", kept, want)
+	}
+	if _, ok := b2.Get(ids[0]); ok {
+		t.Fatalf("evicted batch %s is visible again after the restart", ids[0])
+	}
+	if lm.BatchesResumed != 0 {
+		t.Fatalf("BatchesResumed = %d with nothing resumed", lm.BatchesResumed)
+	}
+	if m := b2.Metrics(); m.BatchCells != 2 {
+		t.Fatalf("BatchCells = %d, want the 2 cells of the retained batches", m.BatchCells)
 	}
 }

@@ -142,8 +142,6 @@ type Config struct {
 	// work-stealing loop to balance skewed degree distributions. Ignored by
 	// the sequential engine, which is always one tile.
 	TileArcs int
-	// RecordRoundLog enables per-round statistics in Result.RoundLog.
-	RecordRoundLog bool
 }
 
 // ErrRoundLimit is returned (wrapped) when a run exceeds Config.MaxRounds.
@@ -189,22 +187,12 @@ func (m *Metrics) Merge(o Metrics) {
 	m.CompactMoves += o.CompactMoves
 }
 
-// RoundStats is one entry of the optional per-round log.
-type RoundStats struct {
-	Round    int
-	Active   int // nodes that stepped this round
-	Messages int // messages sent this round
-	Bits     int
-}
-
 // Result is the outcome of a run.
 type Result struct {
 	// Outputs[v] is the value node v passed to Halt (nil if the run failed
 	// before v halted).
 	Outputs []any
 	Metrics Metrics
-	// RoundLog is populated when Config.RecordRoundLog is set.
-	RoundLog []RoundStats
 }
 
 // Context is the interface an automaton uses to interact with the network
@@ -533,11 +521,6 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 		res.Metrics.PeakRoundMessages = max(res.Metrics.PeakRoundMessages, roundMsgs)
 		res.Metrics.PeakRoundBits = max(res.Metrics.PeakRoundBits, roundBits)
 		res.Metrics.PeakActive = max(res.Metrics.PeakActive, active)
-		if cfg.RecordRoundLog {
-			res.RoundLog = append(res.RoundLog, RoundStats{
-				Round: e.round, Active: active, Messages: roundMsgs, Bits: roundBits,
-			})
-		}
 	}
 	return res, nil
 }

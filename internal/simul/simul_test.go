@@ -261,26 +261,6 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
-func TestRoundLogRecording(t *testing.T) {
-	g := graph.Path(4)
-	res, err := Run(g, Config{RecordRoundLog: true}, func(v int) Automaton {
-		return automatonFunc(func(ctx *Context, inbox []Envelope) {
-			if ctx.Round() >= ctx.ID() {
-				ctx.Halt(nil)
-			}
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.RoundLog) != res.Metrics.Rounds {
-		t.Fatalf("round log has %d entries, want %d", len(res.RoundLog), res.Metrics.Rounds)
-	}
-	if res.RoundLog[0].Active != 4 || res.RoundLog[3].Active != 1 {
-		t.Fatalf("active counts wrong: %+v", res.RoundLog)
-	}
-}
-
 func TestEmptyGraph(t *testing.T) {
 	res, err := Run(graph.NewBuilder(0).MustBuild(), Config{}, func(v int) Automaton {
 		t.Fatal("build called for empty graph")

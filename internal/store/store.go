@@ -348,7 +348,7 @@ func (s *Store) spillFileLocked(pl *payload) error {
 	if err := os.MkdirAll(s.cfg.SpillDir, 0o755); err != nil {
 		return err
 	}
-	return graph.WriteDisk(path, pl.g, graph.DiskOptions{})
+	return graph.WriteDisk(path, pl.g)
 }
 
 // reviveLocked brings a spilled name back into the resident map and returns

@@ -62,8 +62,12 @@ var (
 	Grid            = graph.Grid
 	Caterpillar     = graph.Caterpillar
 	EncodeGraph     = graph.Encode
-	DecodeGraph     = graph.Decode
 )
+
+// DecodeGraph parses the text format EncodeGraph writes, with no size caps.
+func DecodeGraph(r io.Reader) (*Graph, error) {
+	return graph.Decode(r, graph.ReadOptions{})
+}
 
 // GNP returns an Erdős–Rényi G(n, p) graph drawn with the given seed.
 func GNP(n int, p float64, seed uint64) *Graph {

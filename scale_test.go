@@ -56,7 +56,7 @@ func TestLargeGraphPipeline(t *testing.T) {
 	// RGD1 round trip: OpenDisk maps the prebuilt CSR arrays directly; the
 	// graph it exposes must be fingerprint-identical to the original.
 	rgdPath := filepath.Join(dir, "ring.rgd1")
-	if err := graph.WriteDisk(rgdPath, loaded, graph.DiskOptions{}); err != nil {
+	if err := graph.WriteDisk(rgdPath, loaded); err != nil {
 		t.Fatal(err)
 	}
 	loaded = nil
