@@ -65,11 +65,11 @@
 // that run with -keys themselves.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: it stops admitting
-// new jobs (submissions 503 with code "draining"), waits up to -drain for
-// in-flight work — single-node mode finishes running cells and journals
-// them to the WAL, leaving the queued remainder for the restart to resume;
-// coordinator mode lets dispatched groups finish on their workers — then
-// stops accepting connections and flushes the ledger. With -waldir the
+// new jobs and batches (submissions 503 with code "draining"), waits up to
+// -drain for in-flight work — single-node mode finishes running cells and
+// journals them to the WAL, leaving the queued remainder for the restart to
+// resume; coordinator mode lets dispatched groups finish on their workers —
+// then stops accepting connections and flushes the ledger. With -waldir the
 // clean shutdown also writes a final snapshot, so the next start replays a
 // minimal log tail; a SIGKILL (or crash) instead replays the journal, which
 // recovers everything that was acknowledged before the crash.
@@ -288,7 +288,12 @@ func main() {
 			}
 		}
 		handler = httpapi.NewHandler(svc, st, batches, httpapi.WithMaxBodyBytes(*maxBody), httpapi.WithKeyring(keyring))
-		drain = svc.Drain
+		// Batch admission closes first, so no batch registers behind the
+		// job engine's drain and then waits, pinned, for cells that never run.
+		drain = func(d time.Duration) bool {
+			batches.CloseAdmission()
+			return svc.Drain(d)
+		}
 		// Drain order matters: stop the job engine first (queued jobs finish
 		// and their terminal notifications reach the ledger), then flush the
 		// ledger and write its final snapshot, then the store's.

@@ -27,13 +27,6 @@ import (
 // WaitBatch for progress. A draining coordinator refuses with
 // service.ErrDraining.
 func (c *Coordinator) SubmitBatch(spec service.BatchSpec) (service.BatchView, error) {
-	// The check and the registration share one critical section, so every
-	// batch Drain does not refuse is registered before Drain looks.
-	c.admit.RLock()
-	defer c.admit.RUnlock()
-	if c.draining {
-		return service.BatchView{}, service.ErrDraining
-	}
 	return c.b.Submit(spec)
 }
 
@@ -67,9 +60,7 @@ func (c *Coordinator) CancelBatch(id string) (service.BatchView, error) { return
 // Unlike Close it never cancels work: groups already dispatched keep
 // running, so a SIGTERM during a sweep loses no finished results.
 func (c *Coordinator) Drain(timeout time.Duration) bool {
-	c.admit.Lock()
-	c.draining = true
-	c.admit.Unlock()
+	c.b.CloseAdmission()
 	return c.settle(timeout)
 }
 
@@ -125,15 +116,11 @@ func (d dispatcher) Cancel(ref string) {
 // group waited on its window slot — re-place without recording a new failure.
 var errWorkerDown = errors.New("cluster: worker went down before dispatch")
 
-// isQueueFull matches the worker's 503 queue-saturation rejection, which is
-// retryable on the same worker (unlike every other 5xx). The machine-readable
-// code is authoritative; the message match keeps pre-code workers working.
+// isQueueFull matches the worker's queue-saturation rejection, which is
+// retryable on the same worker (unlike every other 5xx).
 func isQueueFull(err error) bool {
 	var apiErr *httpapi.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
-		return false
-	}
-	return apiErr.Code == httpapi.CodeQueueFull || strings.Contains(apiErr.Message, "queue is full")
+	return errors.As(err, &apiErr) && apiErr.Code == httpapi.CodeQueueFull
 }
 
 // dgroup is one grouped dispatch unit: up to Config.GroupSize cells sharing

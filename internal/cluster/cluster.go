@@ -176,12 +176,6 @@ type Coordinator struct {
 
 	b *service.Batches
 
-	// admit is held shared across SubmitBatch's draining check and batch
-	// registration — shared, so submissions stay concurrent with each other —
-	// and exclusively to set draining (Drain, Close).
-	admit    sync.RWMutex
-	draining bool
-
 	probeStop chan struct{}
 	probeDone chan struct{}
 
@@ -364,9 +358,7 @@ func (c *Coordinator) probeLoop() {
 // terminal (so no dispatch goroutine outlives it), and stops the prober. The
 // coordinator must not be used afterwards.
 func (c *Coordinator) Close() {
-	c.admit.Lock()
-	c.draining = true
-	c.admit.Unlock()
+	c.b.CloseAdmission()
 	for _, v := range c.b.List() {
 		if !v.State.Terminal() {
 			_, _ = c.b.Cancel(v.ID)

@@ -154,13 +154,6 @@ func (m *paletteMachine) Update(info *agg.NodeInfo, t int, data agg.Data, result
 	return false, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // RandomGreedy colors g with at most ∆+1 colors in O(log n) rounds w.h.p.
 func RandomGreedy(g *graph.Graph, cfg simul.Config) (*Result, error) {
 	palette := g.MaxDegree() + 1
@@ -178,7 +171,7 @@ func RandomGreedy(g *graph.Graph, cfg simul.Config) (*Result, error) {
 // g with at most 2∆-1 colors — through the Theorem 2.8 simulation. Colors are
 // indexed by edge ID.
 func RandomGreedyOnLine(g *graph.Graph, cfg simul.Config) (*Result, error) {
-	palette := maxLineDegree(g) + 1
+	palette := g.MaxLineDegree() + 1
 	plan := palettePlan(palette)
 	res, err := agg.RunLine(g, cfg, func(e int) agg.Machine {
 		return &paletteMachine{palette: palette, plan: plan}
@@ -187,17 +180,6 @@ func RandomGreedyOnLine(g *graph.Graph, cfg simul.Config) (*Result, error) {
 		return nil, err
 	}
 	return paletteResult(res, g.M(), palette)
-}
-
-func maxLineDegree(g *graph.Graph) int {
-	d := 0
-	for _, e := range g.Edges() {
-		ld := g.Degree(e.U) + g.Degree(e.V) - 2
-		if ld > d {
-			d = ld
-		}
-	}
-	return d
 }
 
 func paletteResult(res *agg.Result, n, palette int) (*Result, error) {

@@ -128,13 +128,6 @@ func buildMaxISResult(g *graph.Graph, res *agg.Result, window int) (*MaxISResult
 	return out, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // DistributedMWM2 computes a 2-approximate maximum weight matching by
 // executing Algorithm 2 on the line graph L(g) through the congestion-free
 // simulation of Theorem 2.8 (Theorem 2.10, randomized variant). Round

@@ -151,86 +151,3 @@ func (s *isSolver) search(cand uint64, cur int64, curSet uint64) {
 	// Branch 2: exclude pick.
 	s.search(cand&^v, cur, curSet)
 }
-
-// MaxWeightISOnTree computes the exact maximum weight independent set of a
-// forest in linear time by dynamic programming; used for ratio measurement on
-// large tree instances where branch and bound would not scale.
-func MaxWeightISOnTree(g *graph.Graph) ([]bool, int64, error) {
-	n := g.N()
-	if g.M() >= n && n > 0 {
-		// A forest has fewer edges than nodes; quick sanity check (not a
-		// full acyclicity proof — the DFS below detects back edges).
-		return nil, 0, fmt.Errorf("exact: graph with %d nodes and %d edges is not a forest", n, g.M())
-	}
-	take := make([]int64, n) // best weight for subtree of v with v taken
-	skip := make([]int64, n) // best weight with v not taken
-	state := make([]int8, n) // 0 unvisited, 1 on stack, 2 done
-	parent := make([]int, n)
-	takeSel := make([]bool, n)
-	var total int64
-	out := make([]bool, n)
-
-	for root := 0; root < n; root++ {
-		if state[root] != 0 {
-			continue
-		}
-		parent[root] = -1
-		// Iterative post-order DFS.
-		stack := []int{root}
-		var order []int
-		state[root] = 1
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			order = append(order, v)
-			for _, u32 := range g.Neighbors(v) {
-				u := int(u32)
-				if u == parent[v] {
-					continue
-				}
-				if state[u] != 0 {
-					return nil, 0, fmt.Errorf("exact: cycle detected through nodes %d and %d; not a forest", v, u)
-				}
-				state[u] = 1
-				parent[u] = v
-				stack = append(stack, u)
-			}
-		}
-		for i := len(order) - 1; i >= 0; i-- {
-			v := order[i]
-			take[v] = g.NodeWeight(v)
-			skip[v] = 0
-			for _, u32 := range g.Neighbors(v) {
-				u := int(u32)
-				if u == parent[v] {
-					continue
-				}
-				take[v] += skip[u]
-				if take[u] > skip[u] {
-					skip[v] += take[u]
-				} else {
-					skip[v] += skip[u]
-				}
-			}
-			state[v] = 2
-		}
-		if take[root] > skip[root] {
-			total += take[root]
-		} else {
-			total += skip[root]
-		}
-		// Reconstruct: walk down, deciding each node given its parent's
-		// decision.
-		for _, v := range order {
-			if parent[v] == -1 {
-				takeSel[v] = take[v] > skip[v]
-			} else if takeSel[parent[v]] {
-				takeSel[v] = false
-			} else {
-				takeSel[v] = take[v] > skip[v]
-			}
-			out[v] = takeSel[v]
-		}
-	}
-	return out, total, nil
-}

@@ -183,56 +183,6 @@ func TestMaxWeightISRejectsLarge(t *testing.T) {
 	}
 }
 
-func TestTreeDPAgainstBranchAndBound(t *testing.T) {
-	r := rng.New(4)
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + r.Intn(30)
-		g := graph.RandomTree(n, r.Split(uint64(trial)))
-		graph.AssignUniformNodeWeights(g, 30, r.Split(uint64(900+trial)))
-		in, w, err := MaxWeightISOnTree(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !g.IsIndependentSet(in) {
-			t.Fatal("tree DP output not independent")
-		}
-		if got := g.SetWeight(in); got != w {
-			t.Fatalf("reported %d != recomputed %d", w, got)
-		}
-		_, bnbW, err := MaxWeightIndependentSet(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w != bnbW {
-			t.Fatalf("trial %d: tree DP %d vs B&B %d", trial, w, bnbW)
-		}
-	}
-}
-
-func TestTreeDPOnForest(t *testing.T) {
-	// Two disjoint paths.
-	b := graph.NewBuilder(7)
-	b.MustAddEdge(0, 1)
-	b.MustAddEdge(1, 2)
-	b.MustAddEdge(4, 5)
-	b.MustAddEdge(5, 6)
-	g := b.MustBuild()
-	in, w, err := MaxWeightISOnTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// {0,2} + {3} + {4,6} = 5 nodes of weight 1.
-	if w != 5 || !g.IsIndependentSet(in) {
-		t.Fatalf("forest IS weight %d, want 5", w)
-	}
-}
-
-func TestTreeDPRejectsCycles(t *testing.T) {
-	if _, _, err := MaxWeightISOnTree(graph.Cycle(4)); err == nil {
-		t.Fatal("accepted a cycle")
-	}
-}
-
 func TestGreedyBaselinesValid(t *testing.T) {
 	r := rng.New(5)
 	for trial := 0; trial < 30; trial++ {
@@ -243,14 +193,8 @@ func TestGreedyBaselinesValid(t *testing.T) {
 		if m := GreedyMatching(g); !g.IsMaximalMatching(m) {
 			t.Fatal("greedy matching not maximal")
 		}
-		if in := GreedyMinDegreeIS(g); !g.IsMaximalIndependentSet(in) {
-			t.Fatal("min-degree greedy IS not a maximal IS")
-		}
 		if in := GreedyWeightIS(g); !g.IsMaximalIndependentSet(in) {
 			t.Fatal("weight greedy IS not a maximal IS")
-		}
-		if in := SequentialMIS(g); !g.IsMaximalIndependentSet(in) {
-			t.Fatal("sequential MIS not a maximal IS")
 		}
 	}
 }

@@ -32,46 +32,6 @@ func GreedyMatching(g *graph.Graph) []int {
 	return out
 }
 
-// GreedyMinDegreeIS returns the classical min-degree greedy independent set
-// [HR97]: repeatedly add a minimum-degree node and delete its neighborhood.
-// For unweighted graphs it is a (∆+2)/3-approximation.
-func GreedyMinDegreeIS(g *graph.Graph) []bool {
-	n := g.N()
-	alive := make([]bool, n)
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		alive[v] = true
-		deg[v] = g.Degree(v)
-	}
-	out := make([]bool, n)
-	remaining := n
-	for remaining > 0 {
-		pick := -1
-		for v := 0; v < n; v++ {
-			if alive[v] && (pick == -1 || deg[v] < deg[pick]) {
-				pick = v
-			}
-		}
-		out[pick] = true
-		kill := []int{pick}
-		for _, u32 := range g.Neighbors(pick) {
-			if u := int(u32); alive[u] {
-				kill = append(kill, u)
-			}
-		}
-		for _, v := range kill {
-			alive[v] = false
-			remaining--
-			for _, u := range g.Neighbors(v) {
-				if alive[u] {
-					deg[u]--
-				}
-			}
-		}
-	}
-	return out
-}
-
 // GreedyWeightIS adds nodes in non-increasing weight order whenever
 // independence permits; a simple weighted baseline.
 func GreedyWeightIS(g *graph.Graph) []bool {
@@ -85,23 +45,6 @@ func GreedyWeightIS(g *graph.Graph) []bool {
 	out := make([]bool, g.N())
 	blocked := make([]bool, g.N())
 	for _, v := range order {
-		if blocked[v] {
-			continue
-		}
-		out[v] = true
-		for _, u := range g.Neighbors(v) {
-			blocked[u] = true
-		}
-	}
-	return out
-}
-
-// SequentialMIS returns the lexicographically greedy maximal independent set
-// (scan nodes by ID); the simplest correct MIS reference.
-func SequentialMIS(g *graph.Graph) []bool {
-	out := make([]bool, g.N())
-	blocked := make([]bool, g.N())
-	for v := 0; v < g.N(); v++ {
 		if blocked[v] {
 			continue
 		}

@@ -88,7 +88,7 @@ func (f *Network) dfs(v, t int, up int64) int64 {
 		if f.cap[a] <= 0 || f.level[u] != f.level[v]+1 {
 			continue
 		}
-		d := f.dfs(u, t, min64(up, f.cap[a]))
+		d := f.dfs(u, t, min(up, f.cap[a]))
 		if d > 0 {
 			f.cap[a] -= d
 			f.cap[a^1] += d
@@ -133,13 +133,6 @@ func (f *Network) MinCutReachable(s int) []bool {
 		}
 	}
 	return seen
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // MaxWeightBipartiteIS computes an exact maximum weight independent set of a

@@ -104,6 +104,16 @@ func (g *Graph) Degree(v int) int { return int(g.offsets[v+1] - g.offsets[v]) }
 // MaxDegree returns ∆(G), the maximum degree; 0 for an edgeless graph.
 func (g *Graph) MaxDegree() int { return g.maxDeg }
 
+// MaxLineDegree returns ∆(L(G)), the maximum degree of the line graph: the
+// most edges one edge shares an endpoint with; 0 for an edgeless graph.
+func (g *Graph) MaxLineDegree() int {
+	d := 0
+	for _, e := range g.edges {
+		d = max(d, g.Degree(e.U)+g.Degree(e.V)-2)
+	}
+	return d
+}
+
 // Neighbors returns the sorted neighbor IDs of v as a zero-copy view into the
 // CSR arrays. The slice is owned by the graph and must not be modified.
 func (g *Graph) Neighbors(v int) []int32 {

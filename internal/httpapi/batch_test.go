@@ -230,6 +230,41 @@ func TestClosedStoreAnswers503(t *testing.T) {
 	wantStatus(t, err, http.StatusServiceUnavailable)
 }
 
+// TestDrainingNodeRefusesBatches: a single node in graceful drain — batch
+// admission closed, then the job engine drained, the order cmd/reprod
+// uses — answers POST /v1/batches with 503 draining, as it answers POST
+// /v1/jobs, and the refused batch leaves no pin behind: the graph still
+// deletes.
+func TestDrainingNodeRefusesBatches(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	t.Cleanup(svc.Close)
+	st := store.New(store.Config{})
+	batches := service.NewBatches(svc, st, service.BatchConfig{})
+	ts := httptest.NewServer(NewHandler(svc, st, batches))
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+
+	if _, err := c.PutGraphGen(ctx, "drain-g", GenRequest{Gen: "gnp", N: 12, P: 0.3, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	batches.CloseAdmission()
+	if !svc.Drain(10 * time.Second) {
+		t.Fatal("an idle service did not drain")
+	}
+	_, jobErr := c.SubmitJob(ctx, SubmitRequest{Algo: "maxis", GraphName: "drain-g"})
+	_, batchErr := c.SubmitBatch(ctx, BatchRequest{Graphs: []string{"drain-g"}, Algos: []string{"maxis"}})
+	for what, err := range map[string]error{"job": jobErr, "batch": batchErr} {
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != CodeDraining {
+			t.Errorf("%s on a draining node: %v, want 503 %s", what, err, CodeDraining)
+		}
+	}
+	if err := c.DeleteGraph(ctx, "drain-g"); err != nil {
+		t.Fatalf("delete after the refused batch: %v", err)
+	}
+}
+
 // TestBatchCancelFanOutHTTP covers DELETE /v1/batches/{id}: members are
 // canceled, the batch terminates as canceled, and a second cancel conflicts.
 func TestBatchCancelFanOutHTTP(t *testing.T) {

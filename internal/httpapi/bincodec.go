@@ -190,30 +190,27 @@ func (r *groupReader) fail(format string, args ...any) {
 	}
 }
 
+// uvarint reads one varint. A multi-byte varint whose last byte is zero is
+// overlong and refused, as the decoders refuse every other slack (unknown
+// flag bits, bitset padding): each value has one encoding, so anything
+// that decodes re-encodes to its own bytes.
 func (r *groupReader) uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("truncated %s at offset %d", what, r.off)
+	if n <= 0 || (n > 1 && r.data[r.off+n-1] == 0) {
+		r.fail("truncated or overlong %s at offset %d", what, r.off)
 		return 0
 	}
 	r.off += n
 	return v
 }
 
+// varint reads one zigzag-encoded signed varint (binary.AppendVarint).
 func (r *groupReader) varint(what string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("truncated %s at offset %d", what, r.off)
-		return 0
-	}
-	r.off += n
-	return v
+	u := r.uvarint(what)
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 func (r *groupReader) count(what string) int {
@@ -292,10 +289,15 @@ func decodeGroupBinary(data []byte) (JobGroupResponse, error) {
 				c.State = stateCodes[code]
 			}
 		}
+		if flags&^(gfCacheHit|gfError|gfResult|gfTrace) != 0 || flags&(gfResult|gfTrace) == gfTrace {
+			r.fail("cell %d: bad flags %#x", i, flags)
+		}
 		c.CacheHit = flags&gfCacheHit != 0
 		c.TraceID = r.str("cell trace id")
 		if flags&gfError != 0 {
-			c.Error = r.str("cell error")
+			if c.Error = r.str("cell error"); c.Error == "" {
+				r.fail("cell %d: empty error", i)
+			}
 		}
 		if flags&gfResult != 0 {
 			c.Result = readResult(r, flags&gfTrace != 0)
@@ -364,6 +366,10 @@ func readBitset(r *groupReader, n uint64) []bool {
 		return nil
 	}
 	need := (int(n) + 7) / 8
+	if n%8 != 0 && r.data[r.off+need-1]>>(n%8) != 0 {
+		r.fail("bitset padding bits set")
+		return nil
+	}
 	bits := make([]bool, n)
 	for i := range bits {
 		bits[i] = r.data[r.off+i/8]&(1<<(i%8)) != 0

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"time"
 )
 
@@ -20,7 +19,9 @@ import (
 //
 // Every method takes a context as its first argument and abandons the HTTP
 // round trip when it is canceled — the cluster coordinator relies on this to
-// stop a canceled batch's worker round trips promptly.
+// stop a canceled batch's worker round trips promptly. Every method also
+// runs through one round trip, send, so each reports a non-2xx answer the
+// same way: as an *APIError carrying the status and the error code.
 type Client struct {
 	base   string
 	hc     *http.Client
@@ -48,13 +49,6 @@ func (c *Client) WithAPIKey(key string) *Client {
 	return &cp
 }
 
-// auth stamps the client's API key onto req; a no-op without one.
-func (c *Client) auth(req *http.Request) {
-	if c.apiKey != "" {
-		req.Header.Set(APIKeyHeader, c.apiKey)
-	}
-}
-
 // APIError is a non-2xx response decoded from the server's error envelope.
 // Code carries the machine-readable error code when the server set one
 // (e.g. CodeQueueFull on a saturation 503).
@@ -68,45 +62,62 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("httpapi: %d: %s", e.Status, e.Message)
 }
 
-// do round-trips one JSON request. A nil out discards the response body.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(buf)
-	}
+// send is the client's one round trip: it builds the request, sets the
+// headers given as name, value pairs (skipping empty values) and the API
+// key, and sends it. A non-2xx answer comes back as an *APIError decoded
+// from the error envelope; on a 2xx the caller owns the response body and
+// closes it.
+func (c *Client) send(ctx context.Context, method, path string, body io.Reader, header ...string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	// Requests that carry a trace ID (job and batch submissions) also send it
-	// as the TraceHeader header, so access logs and proxies see the trace
-	// without parsing bodies.
-	if t, ok := in.(interface{ TraceHeaderValue() string }); ok {
-		if id := t.TraceHeaderValue(); id != "" {
-			req.Header.Set(TraceHeader, id)
+	for i := 0; i+1 < len(header); i += 2 {
+		if header[i+1] != "" {
+			req.Header.Set(header[i], header[i+1])
 		}
 	}
-	c.auth(req)
+	if c.apiKey != "" {
+		req.Header.Set(APIKeyHeader, c.apiKey)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		defer resp.Body.Close()
 		var env struct {
 			Error string `json:"error"`
 			Code  string `json:"code"`
 		}
 		_ = json.NewDecoder(resp.Body).Decode(&env)
-		return &APIError{Status: resp.StatusCode, Code: env.Code, Message: env.Error}
+		return nil, &APIError{Status: resp.StatusCode, Code: env.Code, Message: env.Error}
 	}
+	return resp, nil
+}
+
+// do round-trips one JSON request. A nil out discards the response body.
+// Requests that carry a trace ID (job, group and batch submissions) also
+// send it as the TraceHeader header, so access logs and proxies see the
+// trace without parsing bodies.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	var body io.Reader
+	var ctype, trace string
+	if in != nil {
+		buf, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body, ctype = bytes.NewReader(buf), "application/json"
+		if t, ok := in.(interface{ TraceHeaderValue() string }); ok {
+			trace = t.TraceHeaderValue()
+		}
+	}
+	resp, err := c.send(ctx, method, path, body, "Content-Type", ctype, TraceHeader, trace)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
 	if out == nil {
 		return nil
 	}
@@ -124,26 +135,12 @@ func (c *Client) PutGraph(ctx context.Context, name, text string) (GraphInfo, er
 // name, sending the bytes raw under the binary graph content type. It
 // returns how many body bytes went on the wire beside the stored metadata.
 func (c *Client) PutGraphBinary(ctx context.Context, name string, data []byte) (GraphInfo, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		c.base+"/v1/graphs/"+url.PathEscape(name), bytes.NewReader(data))
-	if err != nil {
-		return GraphInfo{}, 0, err
-	}
-	req.Header.Set("Content-Type", GraphBinaryContentType)
-	c.auth(req)
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodPut, "/v1/graphs/"+url.PathEscape(name),
+		bytes.NewReader(data), "Content-Type", GraphBinaryContentType)
 	if err != nil {
 		return GraphInfo{}, 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var env struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&env)
-		return GraphInfo{}, 0, &APIError{Status: resp.StatusCode, Code: env.Code, Message: env.Error}
-	}
 	var out GraphInfo
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return GraphInfo{}, 0, err
@@ -195,25 +192,13 @@ func (c *Client) Metrics(ctx context.Context) (MetricsResponse, error) {
 // PromMetrics fetches /metrics in the Prometheus text exposition format by
 // negotiating text/plain. It works against both server modes.
 func (c *Client) PromMetrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Accept", "text/plain")
-	c.auth(req)
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/metrics", nil, "Accept", "text/plain")
 	if err != nil {
 		return "", err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", &APIError{Status: resp.StatusCode, Message: string(body)}
-	}
-	return string(body), nil
+	return string(body), err
 }
 
 // GetCluster fetches the coordinator's health/placement view. Only
@@ -261,19 +246,11 @@ func (c *Client) SubmitJobGroup(ctx context.Context, req JobGroupRequest) (JobGr
 	return out, err
 }
 
-// GetJobGroup polls one job group. It asks for the compact binary rendering
-// and falls back to JSON by the response's Content-Type, so it works against
-// both current and older servers; WireBytes reports the body size either
-// way.
+// GetJobGroup polls one job group in the compact binary rendering (RJG1);
+// WireBytes reports the body size.
 func (c *Client) GetJobGroup(ctx context.Context, id string) (JobGroupResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/v1/jobgroups/"+url.PathEscape(id), nil)
-	if err != nil {
-		return JobGroupResponse{}, err
-	}
-	req.Header.Set("Accept", GroupBinaryContentType+", application/json")
-	c.auth(req)
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobgroups/"+url.PathEscape(id), nil,
+		"Accept", GroupBinaryContentType)
 	if err != nil {
 		return JobGroupResponse{}, err
 	}
@@ -282,20 +259,7 @@ func (c *Client) GetJobGroup(ctx context.Context, id string) (JobGroupResponse, 
 	if err != nil {
 		return JobGroupResponse{}, err
 	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var env struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		_ = json.Unmarshal(body, &env)
-		return JobGroupResponse{}, &APIError{Status: resp.StatusCode, Code: env.Code, Message: env.Error}
-	}
-	var out JobGroupResponse
-	if strings.Contains(resp.Header.Get("Content-Type"), GroupBinaryContentType) {
-		out, err = decodeGroupBinary(body)
-	} else {
-		err = json.Unmarshal(body, &out)
-	}
+	out, err := decodeGroupBinary(body)
 	if err != nil {
 		return JobGroupResponse{}, err
 	}

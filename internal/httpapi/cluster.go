@@ -129,7 +129,7 @@ func NewClusterHandler(b ClusterBackend, opts ...HandlerOption) http.Handler {
 	})
 
 	unsupported := func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusNotImplemented,
+		writeErrCode(w, http.StatusNotImplemented, "",
 			"single-job endpoints are not served in coordinator mode; submit a one-cell batch")
 	}
 	mux.HandleFunc("POST /v1/jobs", unsupported)

@@ -7,12 +7,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/registry"
 	"repro/internal/service"
+	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // TestParseWaitClampsAndRejects pins the ?wait= contract: empty is zero,
@@ -49,22 +53,44 @@ func TestParseWaitClampsAndRejects(t *testing.T) {
 }
 
 // TestErrorStatusSurface is the table-driven status-code contract of the
-// HTTP API: every documented 400/404/405/409 path answers with exactly the
-// documented status.
+// HTTP API: every documented 400/404/405/409/503 path answers with exactly
+// the documented status. The server journals its store and its batches, so
+// the last rows can kill a journal, as a failed disk would, and see the
+// fault answer 503 on every route rather than blame the request.
 func TestErrorStatusSurface(t *testing.T) {
-	ts, _, _ := newFullServer(t, service.Config{Workers: 1}, service.BatchConfig{})
+	var storeLog, ledgerLog *wal.Log
+	dir := t.TempDir()
+	svc := service.New(service.Config{Workers: 1})
+	st, err := store.Open(store.Config{WALDir: filepath.Join(dir, "store"),
+		WALHooks: &wal.TestHooks{OnOpen: func(l *wal.Log) { storeLog = l }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, err := service.OpenBatches(svc, st, service.BatchConfig{WALDir: filepath.Join(dir, "batches"),
+		WALHooks: &wal.TestHooks{OnOpen: func(l *wal.Log) { ledgerLog = l }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(svc, st, batches))
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+		batches.Close()
+		st.Close()
+	})
 	c := NewClient(ts.URL, nil)
 	if _, err := c.PutGraphGen(context.Background(), "err-g", GenRequest{Gen: "gnp", N: 12, P: 0.3, Seed: 1, MaxW: 8}); err != nil {
 		t.Fatal(err)
 	}
 
-	cases := []struct {
+	type row struct {
 		name   string
 		method string
 		path   string
 		body   string
 		want   int
-	}{
+	}
+	cases := []row{
 		{"job by unknown stored graph", "POST", "/v1/jobs", `{"algo":"mwm2","graph_name":"missing"}`, 404},
 		{"job by known stored graph", "POST", "/v1/jobs", `{"algo":"mwm2","graph_name":"err-g"}`, 202},
 		{"unknown job", "GET", "/v1/jobs/j99999999", "", 404},
@@ -88,28 +114,42 @@ func TestErrorStatusSurface(t *testing.T) {
 		{"graph upload without source", "PUT", "/v1/graphs/empty", `{}`, 400},
 		{"graph name with bad characters", "PUT", "/v1/graphs/bad%2Fname", `{"gen":{"gen":"gnp","n":4,"p":0.5}}`, 400},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var body *strings.Reader
-			if tc.body != "" {
-				body = strings.NewReader(tc.body)
-			} else {
-				body = strings.NewReader("")
-			}
-			req, err := http.NewRequest(tc.method, ts.URL+tc.path, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != tc.want {
-				t.Fatalf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
-			}
-		})
+	storeKilled := []row{
+		{"graph upload with the store journal killed", "PUT", "/v1/graphs/late", `{"gen":{"gen":"gnp","n":4,"p":0.5}}`, 503},
+		{"graph delete with the store journal killed", "DELETE", "/v1/graphs/err-g", "", 503},
 	}
+	ledgerKilled := []row{
+		{"batch with the ledger killed", "POST", "/v1/batches", `{"graphs":["err-g"],"algos":["mwm2"]}`, 503},
+	}
+	run := func(rows []row) {
+		for _, tc := range rows {
+			t.Run(tc.name, func(t *testing.T) {
+				var body *strings.Reader
+				if tc.body != "" {
+					body = strings.NewReader(tc.body)
+				} else {
+					body = strings.NewReader("")
+				}
+				req, err := http.NewRequest(tc.method, ts.URL+tc.path, body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != tc.want {
+					t.Fatalf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+				}
+			})
+		}
+	}
+	run(cases)
+	storeLog.Kill()
+	run(storeKilled)
+	ledgerLog.Kill()
+	run(ledgerKilled)
 }
 
 // TestUploadsOverTheCapsAre400 pins the upload caps on every graph reader

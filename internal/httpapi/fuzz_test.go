@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -90,6 +93,54 @@ func FuzzHandleJobSubmit(f *testing.F) {
 			}
 		default:
 			t.Fatalf("undocumented status %d for body %q", rr.Code, body)
+		}
+	})
+}
+
+// FuzzGroupBinaryDecode fuzzes the RJG1 job-group decoder the coordinator
+// runs on every worker poll: arbitrary bodies must never panic, and the
+// encoding is canonical — anything that decodes re-encodes to exactly the
+// bytes it was decoded from. The seeds are encoder output: an empty group,
+// queued and failed cells, and done cells carrying matchings, independent
+// sets and round traces.
+func FuzzGroupBinaryDecode(f *testing.F) {
+	submitted := time.Unix(1_700_000_000, 123)
+	finished := submitted.Add(time.Second)
+	f.Add(encodeGroupBinary(JobGroupResponse{ID: "g00000001", Algo: "maxis", State: "queued"}))
+	f.Add(encodeGroupBinary(JobGroupResponse{
+		ID: "g00000002", Algo: "mwm2", State: "running", TraceID: "t0", Total: 2,
+		SubmittedAt: submitted,
+		Cells: []GroupCellWire{
+			{Seed: 1, TraceID: "t0.000", State: "queued"},
+			{Seed: 1 << 40, TraceID: "t0.001", State: "failed", Error: "timeout"},
+		},
+	}))
+	f.Add(encodeGroupBinary(JobGroupResponse{
+		ID: "g00000003", Algo: "maxis", State: "done", Total: 2, Done: 2,
+		SubmittedAt: submitted, FinishedAt: &finished,
+		Cells: []GroupCellWire{
+			{Seed: 3, State: "done", CacheHit: true, Result: &JobResult{
+				Kind: "matching", Size: 2, Weight: -7, Edges: []int{1, -1, 0, 4, -1},
+				Cost: registry.Cost{Rounds: 9, RealRounds: 3, Messages: 40, Bits: 640, MaxMessageBits: 16, BitBudget: 32},
+			}},
+			{Seed: 4, State: "done", Result: &JobResult{
+				Kind: "independent_set", Size: 3, Weight: 12, Uncovered: 1,
+				InSet: []bool{true, false, true, false, false, false, false, false, true, true},
+				Trace: &obs.RoundTrace{Rounds: 3, VirtualRounds: 9, Messages: 40, Bits: 640,
+					PeakRoundMessages: 20, PeakRoundBits: 320, PeakActive: 10, CompactMoves: 2, MemoHits: 5, MemoMisses: 1},
+			}},
+		},
+	}))
+	f.Add([]byte(groupMagic))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := decodeGroupBinary(data)
+		if err != nil {
+			return
+		}
+		if re := encodeGroupBinary(v); !bytes.Equal(re, data) {
+			t.Fatalf("decoded %+v re-encodes to\n%x\nnot\n%x", v, re, data)
 		}
 	})
 }

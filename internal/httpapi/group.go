@@ -85,34 +85,25 @@ func registerGroupRoutes(mux *http.ServeMux, cfg *handlerConfig, svc *service.Se
 		handleSubmitGroup(cfg, svc, st, w, r)
 	})
 	mux.HandleFunc("GET /v1/jobgroups/{id}", func(w http.ResponseWriter, r *http.Request) {
-		t := tenantFrom(r)
 		v, ok := svc.GetGroup(r.PathValue("id"))
-		if !ok || (cfg.keyring != nil && v.Tenant != t.ID) {
-			writeErr(w, http.StatusNotFound, "no such job group")
+		if !ok || !cfg.owns(r, v.Tenant) {
+			writeError(w, service.ErrGroupNotFound)
 			return
 		}
 		writeGroup(w, r, http.StatusOK, toGroupResponse(v))
 	})
-	mux.HandleFunc("DELETE /v1/jobgroups/{id}", func(w http.ResponseWriter, r *http.Request) {
-		t := tenantFrom(r)
-		if cfg.keyring != nil {
-			if v, ok := svc.GetGroup(r.PathValue("id")); !ok || v.Tenant != t.ID {
-				writeErr(w, http.StatusNotFound, "no such job group")
-				return
-			}
-		}
+	groupTenant := func(id string) (string, bool) {
+		v, ok := svc.GetGroup(id)
+		return v.Tenant, ok
+	}
+	mux.HandleFunc("DELETE /v1/jobgroups/{id}", cfg.guard(groupTenant, service.ErrGroupNotFound, func(w http.ResponseWriter, r *http.Request) {
 		v, err := svc.CancelGroup(r.PathValue("id"))
-		switch {
-		case errors.Is(err, service.ErrGroupNotFound):
-			writeErr(w, http.StatusNotFound, "no such job group")
-		case errors.Is(err, service.ErrFinished):
-			writeErr(w, http.StatusConflict, "job group already finished")
-		case err != nil:
-			writeErr(w, http.StatusInternalServerError, err.Error())
-		default:
-			writeGroup(w, r, http.StatusOK, toGroupResponse(v))
+		if err != nil {
+			writeError(w, err)
+			return
 		}
-	})
+		writeGroup(w, r, http.StatusOK, toGroupResponse(v))
+	}))
 }
 
 func handleSubmitGroup(cfg *handlerConfig, svc *service.Service, st *store.Store, w http.ResponseWriter, r *http.Request) {
@@ -122,20 +113,16 @@ func handleSubmitGroup(cfg *handlerConfig, svc *service.Service, st *store.Store
 		return
 	}
 	if req.Algo == "" {
-		writeErr(w, http.StatusBadRequest, "missing algo (see GET /v1/algorithms)")
+		writeError(w, errMissingAlgo)
 		return
 	}
 	if req.GraphName == "" {
-		writeErr(w, http.StatusBadRequest, "missing graph_name: job groups run against stored graphs")
+		writeError(w, errors.New("missing graph_name: job groups run against stored graphs"))
 		return
 	}
 	g, release, err := st.Acquire(cfg.scopeGraph(t, req.GraphName))
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, store.ErrNotFound) {
-			code = http.StatusNotFound
-		}
-		writeErr(w, code, err.Error())
+		writeError(w, err)
 		return
 	}
 	// As with single jobs, the name stays pinned only for the submission:
@@ -144,12 +131,8 @@ func handleSubmitGroup(cfg *handlerConfig, svc *service.Service, st *store.Store
 
 	params, err := req.Params.params()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		writeError(w, err)
 		return
-	}
-	trace := req.TraceID
-	if trace == "" {
-		trace = r.Header.Get(TraceHeader)
 	}
 	v, err := svc.SubmitGroup(service.GroupRequest{
 		Algo:    req.Algo,
@@ -158,13 +141,14 @@ func handleSubmitGroup(cfg *handlerConfig, svc *service.Service, st *store.Store
 		Seeds:   req.Seeds,
 		Traces:  req.Traces,
 		Timeout: time.Duration(req.TimeoutMs) * time.Millisecond,
-		TraceID: trace,
+		TraceID: traceOf(r, req.TraceID),
 		Tenant:  t.ID,
 	})
 	// A group larger than the tenant's queue bound could never be admitted:
 	// the service reports it as a plain error, a 400 here, so the
 	// coordinator fails its cells instead of backing off forever.
-	if writeSubmitErr(w, err) {
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	w.Header().Set(TraceHeader, v.TraceID)

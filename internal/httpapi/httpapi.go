@@ -41,6 +41,14 @@
 // bucket rate limits, tenant-scoped graph/batch visibility and per-tenant
 // admission; without it the surface is byte-identical to the single-tenant
 // server.
+//
+// Errors: every handler answers an error through one table, errorStatus,
+// with the envelope {"error": message, "code": code}: 404 for an unknown
+// record, 409 for a conflict, 413 body_too_large, 507 for a full store,
+// 400 for any other fault of the request, and 503 for every fault on the
+// server's side — queue_full, draining, or no code for a closed service or
+// store and a crashed, closed or failed journal. The middleware adds 401
+// unauthorized and 429 rate_limited in keyed mode.
 package httpapi
 
 import (
@@ -48,8 +56,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,6 +70,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/tenant"
+	"repro/internal/wal"
 )
 
 // DefaultMaxBodyBytes is the request-body bound (inline graphs included)
@@ -421,36 +432,25 @@ func NewHandler(svc *service.Service, st *store.Store, batches *service.Batches,
 		handleSubmit(cfg, svc, st, w, r)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		t := tenantFrom(r)
 		v, ok := svc.Get(r.PathValue("id"))
-		if !ok || (cfg.keyring != nil && v.Tenant != t.ID) {
-			writeErr(w, http.StatusNotFound, "no such job")
+		if !ok || !cfg.owns(r, v.Tenant) {
+			writeError(w, service.ErrNotFound)
 			return
 		}
 		writeJSON(w, http.StatusOK, toJobResponse(v))
 	})
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		t := tenantFrom(r)
-		if cfg.keyring != nil {
-			// Cross-tenant cancels 404 before touching the job, so DELETE
-			// leaks no more than GET does.
-			if v, ok := svc.Get(r.PathValue("id")); !ok || v.Tenant != t.ID {
-				writeErr(w, http.StatusNotFound, "no such job")
-				return
-			}
-		}
+	jobTenant := func(id string) (string, bool) {
+		v, ok := svc.Get(id)
+		return v.Tenant, ok
+	}
+	mux.HandleFunc("DELETE /v1/jobs/{id}", cfg.guard(jobTenant, service.ErrNotFound, func(w http.ResponseWriter, r *http.Request) {
 		v, err := svc.Cancel(r.PathValue("id"))
-		switch {
-		case errors.Is(err, service.ErrNotFound):
-			writeErr(w, http.StatusNotFound, "no such job")
-		case errors.Is(err, service.ErrFinished):
-			writeErr(w, http.StatusConflict, "job already finished")
-		case err != nil:
-			writeErr(w, http.StatusInternalServerError, err.Error())
-		default:
-			writeJSON(w, http.StatusOK, toJobResponse(v))
+		if err != nil {
+			writeError(w, err)
+			return
 		}
-	})
+		writeJSON(w, http.StatusOK, toJobResponse(v))
+	}))
 
 	registerGroupRoutes(mux, cfg, svc, st)
 	registerBackendRoutes(mux, cfg, engineBackend{st: st, batches: batches})
@@ -484,7 +484,7 @@ func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, b Backend) {
 		t := tenantFrom(r)
 		info, ok := b.GetGraph(cfg.scopeGraph(t, r.PathValue("name")))
 		if !ok {
-			writeErr(w, http.StatusNotFound, "no such graph")
+			writeError(w, store.ErrNotFound)
 			return
 		}
 		gi := toGraphInfo(info, false)
@@ -492,52 +492,38 @@ func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, b Backend) {
 		writeJSON(w, http.StatusOK, gi)
 	})
 	mux.HandleFunc("DELETE /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
-		t := tenantFrom(r)
-		err := b.DeleteGraph(cfg.scopeGraph(t, r.PathValue("name")))
-		switch {
-		case errors.Is(err, store.ErrNotFound):
-			writeErr(w, http.StatusNotFound, "no such graph")
-		case errors.Is(err, store.ErrPinned):
-			writeErr(w, http.StatusConflict, err.Error())
-		case errors.Is(err, store.ErrClosed):
-			writeErr(w, http.StatusServiceUnavailable, err.Error())
-		case err != nil:
-			writeErr(w, http.StatusInternalServerError, err.Error())
-		default:
-			w.WriteHeader(http.StatusNoContent)
+		if err := b.DeleteGraph(cfg.scopeGraph(tenantFrom(r), r.PathValue("name"))); err != nil {
+			writeError(w, err)
+			return
 		}
+		w.WriteHeader(http.StatusNoContent)
 	})
 
 	mux.HandleFunc("POST /v1/batches", func(w http.ResponseWriter, r *http.Request) {
 		handleSubmitBatch(cfg, b, w, r)
 	})
 	mux.HandleFunc("GET /v1/batches", func(w http.ResponseWriter, r *http.Request) {
-		t := tenantFrom(r)
 		views := b.ListBatches()
 		out := struct {
 			Batches []BatchResponse `json:"batches"`
 		}{Batches: make([]BatchResponse, 0, len(views))}
 		for _, v := range views {
-			if !cfg.ownsBatch(t, v) {
-				continue
+			if cfg.owns(r, v.Tenant) {
+				out.Batches = append(out.Batches, toBatchResponse(v, false))
 			}
-			out.Batches = append(out.Batches, toBatchResponse(v, false))
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
-	mux.HandleFunc("GET /v1/batches/{id}", func(w http.ResponseWriter, r *http.Request) {
+	batchTenant := func(id string) (string, bool) {
+		v, ok := b.GetBatch(id)
+		return v.Tenant, ok
+	}
+	mux.HandleFunc("GET /v1/batches/{id}", cfg.guard(batchTenant, service.ErrBatchNotFound, func(w http.ResponseWriter, r *http.Request) {
 		t := tenantFrom(r)
-		id := r.PathValue("id")
 		wait, err := parseWait(r.URL.Query().Get("wait"))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
+			writeError(w, err)
 			return
-		}
-		if cfg.keyring != nil {
-			if v, ok := b.GetBatch(id); !ok || !cfg.ownsBatch(t, v) {
-				writeErr(w, http.StatusNotFound, "no such batch")
-				return
-			}
 		}
 		// The waiter gate bounds parked long-polls per tenant: over the
 		// bound the request degrades to an immediate snapshot with
@@ -550,40 +536,28 @@ func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, b Backend) {
 				w.Header().Set("Retry-After", "1")
 			}
 		}
-		v, ok := b.WaitBatch(id, wait)
+		v, ok := b.WaitBatch(r.PathValue("id"), wait)
 		if !ok {
-			writeErr(w, http.StatusNotFound, "no such batch")
+			writeError(w, service.ErrBatchNotFound)
 			return
 		}
 		out := toBatchResponse(v, true)
 		cfg.stripBatchTenant(t, &out)
 		writeJSON(w, http.StatusOK, out)
-	})
+	}))
 	mux.HandleFunc("GET /v1/batches/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
 		handleStreamBatch(cfg, b, w, r)
 	})
-	mux.HandleFunc("DELETE /v1/batches/{id}", func(w http.ResponseWriter, r *http.Request) {
-		t := tenantFrom(r)
-		if cfg.keyring != nil {
-			if v, ok := b.GetBatch(r.PathValue("id")); !ok || !cfg.ownsBatch(t, v) {
-				writeErr(w, http.StatusNotFound, "no such batch")
-				return
-			}
-		}
+	mux.HandleFunc("DELETE /v1/batches/{id}", cfg.guard(batchTenant, service.ErrBatchNotFound, func(w http.ResponseWriter, r *http.Request) {
 		v, err := b.CancelBatch(r.PathValue("id"))
-		switch {
-		case errors.Is(err, service.ErrBatchNotFound):
-			writeErr(w, http.StatusNotFound, "no such batch")
-		case errors.Is(err, service.ErrBatchFinished):
-			writeErr(w, http.StatusConflict, "batch already finished")
-		case err != nil:
-			writeErr(w, http.StatusInternalServerError, err.Error())
-		default:
-			out := toBatchResponse(v, true)
-			cfg.stripBatchTenant(t, &out)
-			writeJSON(w, http.StatusOK, out)
+		if err != nil {
+			writeError(w, err)
+			return
 		}
-	})
+		out := toBatchResponse(v, true)
+		cfg.stripBatchTenant(tenantFrom(r), &out)
+		writeJSON(w, http.StatusOK, out)
+	}))
 }
 
 // parseWait parses the ?wait= long-poll duration, capped at maxWait.
@@ -633,7 +607,7 @@ func handleSubmit(cfg *handlerConfig, svc *service.Service, st *store.Store, w h
 		return
 	}
 	if req.Algo == "" {
-		writeErr(w, http.StatusBadRequest, "missing algo (see GET /v1/algorithms)")
+		writeError(w, errMissingAlgo)
 		return
 	}
 
@@ -643,11 +617,7 @@ func handleSubmit(cfg *handlerConfig, svc *service.Service, st *store.Store, w h
 	}
 	g, release, err := resolveGraph(st, req.Graph, name, req.Gen)
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, store.ErrNotFound) {
-			code = http.StatusNotFound
-		}
-		writeErr(w, code, err.Error())
+		writeError(w, err)
 		return
 	}
 	// A single job may finish long after this handler returns; the stored
@@ -658,50 +628,33 @@ func handleSubmit(cfg *handlerConfig, svc *service.Service, st *store.Store, w h
 
 	params, err := req.Params.params()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		writeError(w, err)
 		return
-	}
-
-	trace := req.TraceID
-	if trace == "" {
-		trace = r.Header.Get(TraceHeader)
 	}
 	v, err := svc.Submit(service.Request{
 		Algo:    req.Algo,
 		Graph:   g,
 		Params:  params,
 		Timeout: time.Duration(req.TimeoutMs) * time.Millisecond,
-		TraceID: trace,
+		TraceID: traceOf(r, req.TraceID),
 		Tenant:  t.ID,
 	})
-	if writeSubmitErr(w, err) {
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	w.Header().Set(TraceHeader, v.TraceID)
 	writeJSON(w, http.StatusAccepted, toJobResponse(v))
 }
 
-// writeSubmitErr writes the error envelope for a refused job or job-group
-// submission and reports whether err was non-nil.
-func writeSubmitErr(w http.ResponseWriter, err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, service.ErrQueueFull):
-		// The code lets clients (the cluster coordinator) distinguish queue
-		// saturation — retryable on this server — from other 5xx without
-		// parsing the message text. With a keyring the bound is the
-		// tenant's own fair-queue slice, so one tenant's saturation never
-		// 503s another.
-		writeErrCode(w, http.StatusServiceUnavailable, CodeQueueFull, err.Error())
-	case errors.Is(err, service.ErrDraining):
-		writeErrCode(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
-	case errors.Is(err, service.ErrClosed):
-		writeErr(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		writeErr(w, http.StatusBadRequest, err.Error())
+var errMissingAlgo = errors.New("missing algo (see GET /v1/algorithms)")
+
+// traceOf is a submission's trace ID: the body's, else the TraceHeader's.
+func traceOf(r *http.Request, body string) string {
+	if body != "" {
+		return body
 	}
-	return true
+	return r.Header.Get(TraceHeader)
 }
 
 // uploadCaps are the registry's untrusted-input caps, which every graph
@@ -713,68 +666,54 @@ func handlePutGraph(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *htt
 	// "/" is the store's internal namespace separator (tenant scoping);
 	// user-supplied names never contain it, keyed mode or not.
 	if strings.Contains(r.PathValue("name"), "/") {
-		writeErr(w, http.StatusBadRequest, "graph name may only contain [A-Za-z0-9._-]")
+		writeError(w, errors.New("graph name may only contain [A-Za-z0-9._-]"))
 		return
 	}
-	var src store.Source
-	ctype := r.Header.Get("Content-Type")
 	// The non-JSON uploads all stream: the body decodes through a fixed
 	// I/O buffer straight into a Builder (size caps enforced against the
 	// declared header or during the scan), so a large upload costs the
 	// graph, never body + graph. limitBody has already capped raw size.
+	var read func(io.Reader, graph.ReadOptions) (*graph.Graph, error)
+	ctype := r.Header.Get("Content-Type")
 	switch {
 	case strings.Contains(ctype, GraphBinaryContentType):
-		g, err := graph.DecodeBinary(r.Body, uploadCaps)
-		if err != nil {
-			writeBodyErr(w, err, "malformed graph")
-			return
-		}
-		src = store.Source{Graph: g}
+		read = graph.DecodeBinary
 	case strings.Contains(ctype, GraphEdgeListContentType):
-		g, err := graph.ReadEdgeList(r.Body, uploadCaps)
-		if err != nil {
-			writeBodyErr(w, err, "malformed edge list")
-			return
-		}
-		src = store.Source{Graph: g}
+		read = graph.ReadEdgeList
 	case strings.Contains(ctype, GraphMatrixMarketContentType):
-		g, err := graph.ReadMatrixMarket(r.Body, uploadCaps)
+		read = graph.ReadMatrixMarket
+	}
+	var src store.Source
+	if read != nil {
+		g, err := read(r.Body, uploadCaps)
 		if err != nil {
-			writeBodyErr(w, err, "malformed matrix market file")
+			writeError(w, fmt.Errorf("malformed graph: %w", err))
 			return
 		}
-		src = store.Source{Graph: g}
-	default:
+		src.Graph = g
+	} else {
 		var req GraphRequest
 		if !decodeBody(w, r, &req) {
 			return
 		}
 		var err error
 		if src, err = toSource(req.Graph, req.Gen); err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
+			writeError(w, err)
 			return
 		}
 	}
 	info, dedup, err := b.PutGraph(cfg.scopeGraph(t, r.PathValue("name")), src)
-	switch {
-	case errors.Is(err, store.ErrExists):
-		writeErr(w, http.StatusConflict, err.Error())
-	case errors.Is(err, store.ErrFull):
-		writeErr(w, http.StatusInsufficientStorage, err.Error())
-	case errors.Is(err, store.ErrClosed):
-		// Shutting down: a coordinator re-places, not a per-cell failure.
-		writeErr(w, http.StatusServiceUnavailable, err.Error())
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, err.Error())
-	default:
-		code := http.StatusCreated
-		if dedup {
-			code = http.StatusOK
-		}
-		gi := toGraphInfo(info, dedup)
-		gi.Name = cfg.unscopeGraph(t, gi.Name)
-		writeJSON(w, code, gi)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
+	code := http.StatusCreated
+	if dedup {
+		code = http.StatusOK
+	}
+	gi := toGraphInfo(info, dedup)
+	gi.Name = cfg.unscopeGraph(t, gi.Name)
+	writeJSON(w, code, gi)
 }
 
 func handleSubmitBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *http.Request) {
@@ -782,10 +721,6 @@ func handleSubmitBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 	var req BatchRequest
 	if !decodeBody(w, r, &req) {
 		return
-	}
-	trace := req.TraceID
-	if trace == "" {
-		trace = r.Header.Get(TraceHeader)
 	}
 	graphs := req.Graphs
 	if cfg.scoped(t) {
@@ -803,32 +738,27 @@ func handleSubmitBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 		MIS:     req.MIS,
 		Seeds:   req.Seeds,
 		Timeout: time.Duration(req.TimeoutMs) * time.Millisecond,
-		TraceID: trace,
+		TraceID: traceOf(r, req.TraceID),
 		Tenant:  t.ID,
 	}
 	for i, c := range req.Cells {
 		params, err := c.Params.params()
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("cell %d: %v", i, err))
+			writeError(w, fmt.Errorf("cell %d: %w", i, err))
 			return
 		}
 		spec.Cells = append(spec.Cells, service.BatchCell{
 			Graph: cfg.scopeGraph(t, c.Graph), Algo: c.Algo, Params: params})
 	}
 	v, err := b.SubmitBatch(spec)
-	switch {
-	case errors.Is(err, store.ErrNotFound):
-		writeErr(w, http.StatusNotFound, err.Error())
-	case errors.Is(err, service.ErrDraining):
-		writeErrCode(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, err.Error())
-	default:
-		w.Header().Set(TraceHeader, v.TraceID)
-		out := toBatchResponse(v, true)
-		cfg.stripBatchTenant(t, &out)
-		writeJSON(w, http.StatusAccepted, out)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
+	w.Header().Set(TraceHeader, v.TraceID)
+	out := toBatchResponse(v, true)
+	cfg.stripBatchTenant(t, &out)
+	writeJSON(w, http.StatusAccepted, out)
 }
 
 // toSource validates and converts an upload body to a store source.
@@ -861,56 +791,60 @@ func resolveGraph(st *store.Store, text, name string, gen *GenRequest) (*graph.G
 			set++
 		}
 	}
-	if set > 1 {
-		return nil, nop, errors.New("set exactly one of graph, graph_name and gen")
-	}
 	switch {
+	case set == 0:
+		return nil, nop, errors.New("missing graph: set graph (text format), graph_name (stored) or gen (generator spec)")
+	case set > 1:
+		return nil, nop, errors.New("set exactly one of graph, graph_name and gen")
 	case name != "":
 		return st.Acquire(name)
-	case text != "":
-		g, err := graph.Decode(strings.NewReader(text), uploadCaps)
-		if err != nil {
-			return nil, nop, fmt.Errorf("malformed graph: %v", err)
-		}
-		return g, nop, nil
-	case gen != nil:
-		spec, ok := registry.GetGenerator(gen.Gen)
-		if !ok {
-			return nil, nop, fmt.Errorf("unknown generator %q (have: %s)",
-				gen.Gen, strings.Join(registry.GeneratorNames(), ", "))
-		}
-		g, err := spec.Build(gen.genParams())
-		if err != nil {
-			return nil, nop, err
-		}
-		return g, nop, nil
-	default:
-		return nil, nop, errors.New("missing graph: set graph (text format), graph_name (stored) or gen (generator spec)")
 	}
+	src, err := toSource(text, gen)
+	if err != nil {
+		return nil, nop, err
+	}
+	g, _, err := src.Build()
+	return g, nop, err
 }
 
-// bodyTooLarge reports whether err is the limitBody cap firing. The typed
-// *http.MaxBytesError is the contract; the string fallback covers decoders
-// that flatten the cause into their own error text (fmt.Errorf("...: %v")).
-func bodyTooLarge(err error) bool {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return true
+// errorStatus maps an error to its HTTP status and machine-readable code;
+// it is the one place the API tests an error against a service, store or
+// wal sentinel. Unknown records answer 404 and conflicts 409; a body over
+// the cap answers 413 body_too_large, deterministic for the payload, so the
+// cluster coordinator fails the cell rather than the worker; a full store
+// answers 507. Every fault on the server's side answers 503 — queue_full
+// when the tenant's queue is saturated (retryable on this server), draining
+// in a graceful drain, and with no code for a closed service or store and a
+// crashed, closed or failed journal — so a coordinator re-places the work
+// instead of failing it. Anything else is the request's fault: 400.
+func errorStatus(err error) (int, string) {
+	is := func(targets ...error) bool {
+		return slices.ContainsFunc(targets, func(t error) bool { return errors.Is(err, t) })
 	}
-	return err != nil && strings.Contains(err.Error(), "request body too large")
+	var tooLarge *http.MaxBytesError
+	switch {
+	case is(service.ErrNotFound, service.ErrGroupNotFound, service.ErrBatchNotFound, store.ErrNotFound):
+		return http.StatusNotFound, ""
+	case is(service.ErrFinished, service.ErrBatchFinished, store.ErrExists, store.ErrPinned):
+		return http.StatusConflict, ""
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, CodeBodyTooLarge
+	case is(store.ErrFull):
+		return http.StatusInsufficientStorage, ""
+	case is(service.ErrQueueFull):
+		return http.StatusServiceUnavailable, CodeQueueFull
+	case is(service.ErrDraining):
+		return http.StatusServiceUnavailable, CodeDraining
+	case is(service.ErrClosed, store.ErrClosed, wal.ErrCrashed, wal.ErrClosed, wal.ErrFailed):
+		return http.StatusServiceUnavailable, ""
+	}
+	return http.StatusBadRequest, ""
 }
 
-// writeBodyErr writes the error for a failed body decode: a machine-readable
-// 413 when the size cap fired — deterministic for the payload, so clients
-// must not retry and the cluster coordinator fails the cell rather than the
-// worker — and a 400 otherwise.
-func writeBodyErr(w http.ResponseWriter, err error, what string) {
-	if bodyTooLarge(err) {
-		writeErrCode(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-			"request body exceeds the server's size limit")
-		return
-	}
-	writeErr(w, http.StatusBadRequest, what+": "+err.Error())
+// writeError answers err with the status and code errorStatus maps it to.
+func writeError(w http.ResponseWriter, err error) {
+	status, code := errorStatus(err)
+	writeErrCode(w, status, code, err.Error())
 }
 
 // decodeBody decodes a JSON request body, writing the error response itself
@@ -921,7 +855,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeBodyErr(w, err, "bad request body")
+		writeError(w, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
@@ -1056,12 +990,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // client should retry against the same server instead of failing it over.
 const CodeQueueFull = "queue_full"
 
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// writeErrCode writes an error envelope with a machine-readable code beside
-// the human-readable message.
-func writeErrCode(w http.ResponseWriter, status int, errCode, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg, "code": errCode})
+// writeErrCode writes the error envelope: the human-readable message, and
+// the machine-readable code beside it when there is one.
+func writeErrCode(w http.ResponseWriter, status int, code, msg string) {
+	env := map[string]string{"error": msg}
+	if code != "" {
+		env["code"] = code
+	}
+	writeJSON(w, status, env)
 }

@@ -160,7 +160,6 @@ func writePromCluster(w http.ResponseWriter, m ClusterMetrics, v ClusterView) {
 		}
 		p.Gauge("repro_cluster_worker_healthy", "Worker health (1 healthy, 0 down).", healthy, "worker", url)
 		p.Gauge("repro_cluster_worker_in_flight", "Cells currently dispatched to the worker.", float64(cw.InFlight), "worker", url)
-		p.Gauge("repro_cluster_inflight", "In-flight window occupancy of the worker, in cells.", float64(cw.InFlight), "worker", url)
 		p.Gauge("repro_cluster_queue_depth", "Dispatch attempts waiting behind the worker's window.", float64(cw.QueueDepth), "worker", url)
 		p.Gauge("repro_cluster_worker_graphs", "Graphs this coordinator has uploaded to the worker.", float64(cw.Graphs), "worker", url)
 		p.Counter("repro_cluster_worker_dispatched_total", "Cell dispatches to the worker.", float64(cw.Dispatched), "worker", url)

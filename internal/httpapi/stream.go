@@ -81,29 +81,28 @@ func handleStreamBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 	t := tenantFrom(r)
 	id := r.PathValue("id")
 	v, ok := b.GetBatch(id)
-	if !ok || !cfg.ownsBatch(t, v) {
-		writeErr(w, http.StatusNotFound, "no such batch")
+	if !ok || !cfg.owns(r, v.Tenant) {
+		writeError(w, service.ErrBatchNotFound)
 		return
 	}
 	from := 0
 	if s := r.URL.Query().Get("from"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad from: want a non-negative cell index")
+			writeError(w, errors.New("bad from: want a non-negative cell index"))
 			return
 		}
 		from = n
 	} else if s := r.Header.Get("Last-Event-ID"); s != "" {
 		last, err := strconv.Atoi(s)
 		if err != nil || last < -1 {
-			writeErr(w, http.StatusBadRequest, "bad Last-Event-ID: want the last received cell index")
+			writeError(w, errors.New("bad Last-Event-ID: want the last received cell index"))
 			return
 		}
 		from = last + 1
 	}
 	if from > v.Total {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Sprintf("from %d beyond batch of %d cells", from, v.Total))
+		writeError(w, fmt.Errorf("from %d beyond batch of %d cells", from, v.Total))
 		return
 	}
 	// Streams park a connection like ?wait= long-polls do and share the
@@ -412,32 +411,18 @@ func DecodeStreamCell(data []byte) (BatchCellView, error) {
 // and surfaces that error. StreamBatch issues ONE request; callers wanting
 // resume-on-disconnect loop around it, passing the next unseen index.
 func (c *Client) StreamBatch(ctx context.Context, id string, from int, fn func(BatchCellView) error) (BatchResponse, error) {
-	path := c.base + "/v1/batches/" + url.PathEscape(id) + "/stream"
+	path := "/v1/batches/" + url.PathEscape(id) + "/stream"
+	lastID := ""
 	if from > 0 {
 		path += "?from=" + strconv.Itoa(from)
+		lastID = strconv.Itoa(from - 1)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return BatchResponse{}, err
-	}
-	req.Header.Set("Accept", BatchStreamContentType+", text/event-stream")
-	if from > 0 {
-		req.Header.Set("Last-Event-ID", strconv.Itoa(from-1))
-	}
-	c.auth(req)
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, path, nil,
+		"Accept", BatchStreamContentType+", text/event-stream", "Last-Event-ID", lastID)
 	if err != nil {
 		return BatchResponse{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var env struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&env)
-		return BatchResponse{}, &APIError{Status: resp.StatusCode, Code: env.Code, Message: env.Error}
-	}
 	if strings.Contains(resp.Header.Get("Content-Type"), BatchStreamContentType) {
 		return readBinaryStream(resp.Body, fn)
 	}

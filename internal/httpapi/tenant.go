@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/service"
 	"repro/internal/tenant"
 )
 
@@ -142,14 +141,29 @@ func (cfg *handlerConfig) unscopeGraph(t tenant.Tenant, name string) string {
 	return strings.TrimPrefix(name, t.ID+"/")
 }
 
-// ownsBatch reports whether the request's tenant may see the batch. In open
-// mode everything is visible; in keyed mode a batch is visible only to the
-// tenant that submitted it.
-func (cfg *handlerConfig) ownsBatch(t tenant.Tenant, v service.BatchView) bool {
+// owns reports whether the request's tenant may see a job, job group or
+// batch that tenant submitted: in keyed mode only that tenant may, and
+// every other answers 404, as if the record did not exist. Open mode sees
+// everything.
+func (cfg *handlerConfig) owns(r *http.Request, tenant string) bool {
+	return cfg.keyring == nil || tenant == tenantFrom(r).ID
+}
+
+// guard checks owns before h acts on the record the route's {id} names,
+// looking its tenant up with tenantOf, so a cross-tenant DELETE or
+// long-poll answers notFound having touched nothing. Open mode serves h as
+// is, with no lookup.
+func (cfg *handlerConfig) guard(tenantOf func(id string) (string, bool), notFound error, h http.HandlerFunc) http.HandlerFunc {
 	if cfg.keyring == nil {
-		return true
+		return h
 	}
-	return v.Tenant == t.ID
+	return func(w http.ResponseWriter, r *http.Request) {
+		if tenant, ok := tenantOf(r.PathValue("id")); !ok || !cfg.owns(r, tenant) {
+			writeError(w, notFound)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // stripBatchTenant rewrites the stored (scoped) graph names inside a batch

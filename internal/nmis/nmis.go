@@ -260,13 +260,7 @@ func Run(g *graph.Graph, params Params, cfg simul.Config) (*Result, error) {
 // params.MaxDegree is 0 it is filled with ∆(L(g)) ≤ 2∆(g)-2.
 func RunOnLine(g *graph.Graph, params Params, cfg simul.Config) (*Result, error) {
 	if params.MaxDegree == 0 {
-		d := 0
-		for _, e := range g.Edges() {
-			if ld := g.Degree(e.U) + g.Degree(e.V) - 2; ld > d {
-				d = ld
-			}
-		}
-		params.MaxDegree = d
+		params.MaxDegree = g.MaxLineDegree()
 	}
 	build, err := NewMachine(params)
 	if err != nil {

@@ -434,6 +434,8 @@ type Batches struct {
 	batches  map[string]*batch
 	terminal []string // finished batch IDs, oldest first, for eviction
 	nextID   uint64
+	// draining refuses every later Submit (CloseAdmission).
+	draining bool
 
 	// ledger is the durability journal, nil for engines built with
 	// NewBatches or opened without a WALDir.
@@ -531,6 +533,7 @@ func prepareBatch(st *store.Store, spec BatchSpec, maxCells int) ([]BatchCell, m
 // referenced graph is pinned in the store for the batch's lifetime, and the
 // cells are handed to the executor in the background. The returned view
 // reflects the batch at expansion time; poll Get or Wait for progress.
+// After CloseAdmission it refuses with ErrDraining and pins nothing.
 func (b *Batches) Submit(spec BatchSpec) (BatchView, error) {
 	cells, graphs, releases, err := prepareBatch(b.st, spec, b.cfg.MaxCells)
 	if err != nil {
@@ -545,6 +548,13 @@ func (b *Batches) Submit(spec BatchSpec) (BatchView, error) {
 	bt.releases = releases
 
 	b.mu.Lock()
+	if b.draining {
+		b.mu.Unlock()
+		for _, release := range releases {
+			release()
+		}
+		return BatchView{}, ErrDraining
+	}
 	b.nextID++
 	bt.id = fmt.Sprintf("b%06d", b.nextID)
 	// Visible before acked: the batch must be in b.batches before the commit
@@ -584,6 +594,17 @@ func (b *Batches) Submit(spec BatchSpec) (BatchView, error) {
 
 	b.start(bt, graphs)
 	return bt.view(), nil
+}
+
+// CloseAdmission refuses every later Submit with ErrDraining: the first
+// step of a graceful drain, on a single node and a coordinator alike. The
+// check shares the lock that registers a batch, so every batch Submit
+// accepted is registered, and visible to List, before CloseAdmission
+// returns; those run on.
+func (b *Batches) CloseAdmission() {
+	b.mu.Lock()
+	b.draining = true
+	b.mu.Unlock()
 }
 
 // start hands the batch's pending cells to the executor on a goroutine of

@@ -123,7 +123,9 @@ type ledger struct {
 	cellsRestored  atomic.Uint64
 }
 
-var errLedgerClosed = errors.New("service: batch ledger closed")
+// errLedgerClosed refuses a commit once the ledger is closed; it wraps
+// ErrClosed, a fault on the server's side rather than the request's.
+var errLedgerClosed = fmt.Errorf("%w: batch ledger closed", ErrClosed)
 
 // enqueue journals a record without blocking; callers may hold the Service
 // mutex. A full channel drops the record: after a crash the affected cell

@@ -214,7 +214,7 @@ func (s *Store) Put(name string, src Source) (Info, bool, error) {
 	if err := ValidName(name); err != nil {
 		return Info{}, false, err
 	}
-	g, gen, err := buildSource(src)
+	g, gen, err := src.Build()
 	if err != nil {
 		return Info{}, false, err
 	}
@@ -270,7 +270,9 @@ func (s *Store) Put(name string, src Source) (Info, bool, error) {
 	return s.infoLocked(rec), dedup, nil
 }
 
-func buildSource(src Source) (*graph.Graph, string, error) {
+// Build returns the graph src describes — the uploaded graph itself, or
+// the generator's output — and the generator's name ("" for uploads).
+func (src Source) Build() (*graph.Graph, string, error) {
 	switch {
 	case src.Graph != nil && src.Gen != "":
 		return nil, "", errors.New("store: set exactly one of Graph and Gen, not both")

@@ -12,7 +12,8 @@ import (
 // the MIDDLE of the active segment, and replay stops a segment at the first
 // tear — so after a write error the log must refuse every later append and
 // sync (ErrFailed) rather than ack records that recovery would silently
-// drop.
+// drop. The failing write reports ErrFailed itself, so its caller sees a
+// fault of the log, not of the record.
 func TestFlushErrorPoisonsLog(t *testing.T) {
 	l, _, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -26,8 +27,8 @@ func TestFlushErrorPoisonsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.f.Close() // the next write to the active segment fails
-	if err := l.Sync(); err == nil {
-		t.Fatal("Sync over a broken segment reported success")
+	if err := l.Sync(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("Sync over a broken segment: %v, want ErrFailed", err)
 	}
 	if err := l.Append(3, []byte("late")); !errors.Is(err, ErrFailed) {
 		t.Fatalf("Append after write error: %v, want ErrFailed", err)

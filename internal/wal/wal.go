@@ -356,11 +356,12 @@ func (l *Log) AppendSync(typ byte, payload []byte) error {
 }
 
 // flushLocked writes the user-space buffer through to the active segment.
-// Must be called with l.mu held. A write error poisons the log (ErrFailed):
-// the write may have landed a torn record mid-segment, and replay would
-// silently drop anything appended after it — so nothing may be acked after
-// it. The unwritten suffix stays buffered; Close retries it once, which on
-// a transient error mends the tear exactly where it was left.
+// Must be called with l.mu held. A write error poisons the log (ErrFailed),
+// the failing write included: the write may have landed a torn record
+// mid-segment, and replay would silently drop anything appended after it —
+// so nothing may be acked after it. The unwritten suffix stays buffered;
+// Close retries it once, which on a transient error mends the tear exactly
+// where it was left.
 func (l *Log) flushLocked() error {
 	if len(l.buf) == 0 {
 		return nil
@@ -371,7 +372,7 @@ func (l *Log) flushLocked() error {
 		if l.failed == nil {
 			l.failed = fmt.Errorf("%w: %v", ErrFailed, err)
 		}
-		return err
+		return l.failed
 	}
 	l.buf = l.buf[:0]
 	return nil
