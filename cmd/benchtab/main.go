@@ -16,9 +16,13 @@
 // With -compare <file> the fresh measurements are diffed against a previous
 // record: per-row wall_ms and allocs_per_run deltas are printed, and the
 // process exits non-zero if any row's allocs_per_run regressed by more than
-// -threshold percent. Allocation counts are deterministic for a fixed
-// (n, trials, seed), which is what makes them a CI-enforceable gate where
-// wall-clock (reported, but noisy on shared runners) is not.
+// -threshold percent. The program's allocations are deterministic for a
+// fixed (n, trials, seed); the count also takes in the few objects the Go
+// runtime allocates when a garbage collection lands inside a measured run (a
+// new OS thread, a grown per-P timer heap, the first cycle's mark workers),
+// which move a row by a few counts per run. That makes allocation counts a
+// CI-enforceable gate at a percentage threshold where wall-clock (reported,
+// but noisy on shared runners) is not.
 //
 // With -scale the tool switches from the paper's table to a single-worker
 // scaling sweep: -n takes a comma list with k/M suffixes (96,10k,1M), each

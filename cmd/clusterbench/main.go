@@ -128,7 +128,7 @@ func runBatch(workers, seeds, groupSize int) (float64, int, error) {
 		src := store.Source{Gen: "gnp", GenParams: registry.GenParams{
 			N: 16 + 8*i, P: 0.2, Seed: uint64(40 + i), MaxW: 64,
 		}}
-		if _, _, err := f.coord.PutGraph(name, src); err != nil {
+		if _, _, err := f.coord.Store().Put(name, src); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -143,12 +143,12 @@ func runBatch(workers, seeds, groupSize int) (float64, int, error) {
 	}
 
 	start := time.Now()
-	v, err := f.coord.SubmitBatch(spec)
+	v, err := f.coord.Batches().Submit(spec)
 	if err != nil {
 		return 0, 0, err
 	}
 	for {
-		cur, ok := f.coord.WaitBatch(v.ID, 10*time.Second)
+		cur, ok := f.coord.Batches().Wait(v.ID, 10*time.Second)
 		if !ok {
 			return 0, 0, fmt.Errorf("batch %s vanished", v.ID)
 		}

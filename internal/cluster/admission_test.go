@@ -87,13 +87,13 @@ func TestFleetDrainReplacesQueuedGroup(t *testing.T) {
 	}
 	coord, workers := newFleet(t, 2, nil)
 	putGen(t, coord, "drain-a", graphs[0].src)
-	info, _ := coord.GetGraph("drain-a")
+	info, _ := coord.Store().Get("drain-a")
 	victim := coord.owner(info.Fingerprint)
 	if victim == nil {
 		t.Fatal("no owner for drain-a")
 	}
 	vw := findWorker(t, workers, victim.url)
-	v, err := coord.SubmitBatch(spec)
+	v, err := coord.Batches().Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFleetDrainReplacesQueuedGroup(t *testing.T) {
 	var ref string
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		cur, _ := coord.GetBatch(v.ID)
+		cur, _ := coord.Batches().Get(v.ID)
 		if i := slices.IndexFunc(cur.Cells, func(c service.BatchCellView) bool {
 			return c.JobID != "" && !c.State.Terminal()
 		}); i >= 0 {
@@ -142,7 +142,7 @@ func TestFleetResubmissionServedFromWorkerCaches(t *testing.T) {
 	graphs, spec := detWorkload()
 	coord, _ := newFleet(t, 2, nil)
 	first := clusterRun(t, coord, graphs, spec)
-	v, err := coord.SubmitBatch(spec)
+	v, err := coord.Batches().Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

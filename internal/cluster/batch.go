@@ -21,44 +21,12 @@ import (
 // This file is the coordinator's side of it: admission, and the dispatcher
 // that runs a batch's cells on the fleet.
 
-// SubmitBatch validates and launches a sharded batch: the spec expands,
-// validates and pins through the single-node engine's code, and the
-// dispatcher runs its cells on the owning workers. Poll GetBatch or
-// WaitBatch for progress. A draining coordinator refuses with
-// service.ErrDraining.
-func (c *Coordinator) SubmitBatch(spec service.BatchSpec) (service.BatchView, error) {
-	return c.b.Submit(spec)
-}
-
-// GetBatch returns a snapshot of the batch with the given ID.
-func (c *Coordinator) GetBatch(id string) (service.BatchView, bool) { return c.b.Get(id) }
-
-// WaitBatch blocks until the batch is terminal or d has elapsed (d <= 0
-// returns immediately), then returns the current snapshot.
-func (c *Coordinator) WaitBatch(id string, d time.Duration) (service.BatchView, bool) {
-	return c.b.Wait(id, d)
-}
-
-// WaitCell long-polls one cell; see service.Batches.WaitCell.
-func (c *Coordinator) WaitCell(id string, index int, d time.Duration) (service.BatchCellView, bool) {
-	return c.b.WaitCell(id, index, d)
-}
-
-// ListBatches returns a summary snapshot of every retained batch, oldest
-// first.
-func (c *Coordinator) ListBatches() []service.BatchView { return c.b.List() }
-
-// CancelBatch stops a running batch: undispatched cells are dropped, groups
-// in flight on workers are canceled best-effort, finished cells keep their
-// results. Finished batches return service.ErrBatchFinished.
-func (c *Coordinator) CancelBatch(id string) (service.BatchView, error) { return c.b.Cancel(id) }
-
-// Drain stops admission (SubmitBatch returns service.ErrDraining) and waits
-// up to timeout for in-flight batches to finish on their workers. It returns
-// true when every accepted batch reached a terminal state in time; on false
-// the caller should fall through to Close, which cancels the stragglers.
-// Unlike Close it never cancels work: groups already dispatched keep
-// running, so a SIGTERM during a sweep loses no finished results.
+// Drain stops admission (Batches().Submit returns service.ErrDraining) and
+// waits up to timeout for in-flight batches to finish on their workers. It
+// returns true when every accepted batch reached a terminal state in time;
+// on false the caller should fall through to Close, which cancels the
+// stragglers. Unlike Close it never cancels work: groups already dispatched
+// keep running, so a SIGTERM during a sweep loses no finished results.
 func (c *Coordinator) Drain(timeout time.Duration) bool {
 	c.b.CloseAdmission()
 	return c.settle(timeout)

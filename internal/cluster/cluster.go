@@ -16,6 +16,9 @@
 // service.Executor behind a service.Batches (see batch.go), which owns
 // expansion, validation, graph pins, the batch record, views, waits,
 // cancel, retention and aggregation. Coordinator batches are not journaled.
+// httpapi.NewClusterHandler serves the coordinator's store and batch engine
+// directly (Store, Batches); the coordinator adds only the fleet view, the
+// fleet metrics and delete propagation (View, Metrics, DeleteGraph).
 //
 // Layer (DESIGN.md §2, §6): cluster sits above internal/httpapi (it is a
 // client of the worker wire format), internal/service (the batch engine)
@@ -61,10 +64,6 @@ type Config struct {
 	Workers []string
 	// Window bounds in-flight job groups per worker (default 4).
 	Window int
-	// RequestTimeout bounds every worker HTTP round trip, long-polls
-	// included; a hung worker surfaces as a transport error after this long
-	// (default 15s).
-	RequestTimeout time.Duration
 	// PollInterval paces job polling against workers (default 20ms — cells
 	// take tens to hundreds of ms, so tighter polling buys little latency
 	// and costs the fleet an HTTP round trip per tick; in-process tests set
@@ -89,8 +88,9 @@ type Config struct {
 	// service.BatchConfig's fields of the same name do.
 	MaxCells   int
 	MaxBatches int
-	// HTTPClient overrides the worker HTTP client (tests); nil selects a
-	// client with RequestTimeout.
+	// HTTPClient is the worker HTTP client; its Timeout bounds every worker
+	// round trip, so a hung worker surfaces as a transport error after that
+	// long. Nil selects a client with defaultRequestTimeout.
 	HTTPClient *http.Client
 	// WorkerAPIKey is sent with every worker request when the fleet runs
 	// with API keys (-keys on the workers); empty sends none.
@@ -104,12 +104,13 @@ type Config struct {
 	GroupSize int
 }
 
+// defaultRequestTimeout bounds every worker round trip of the default
+// worker client.
+const defaultRequestTimeout = 15 * time.Second
+
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 4
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 15 * time.Second
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 20 * time.Millisecond
@@ -195,7 +196,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
-		hc = &http.Client{Timeout: cfg.RequestTimeout}
+		hc = &http.Client{Timeout: defaultRequestTimeout}
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -374,22 +375,16 @@ func (c *Coordinator) Close() {
 	}
 }
 
-// PutGraph registers a graph in the coordinator's local store; placement is
-// by fingerprint on the ring and the upload to the owner happens lazily on
-// first dispatch, so a PUT never blocks on a worker round trip.
-func (c *Coordinator) PutGraph(name string, src store.Source) (store.Info, bool, error) {
-	return c.st.Put(name, src)
-}
+// Store is the coordinator's graph store, which the HTTP layer serves
+// directly. Placement is by fingerprint on the ring and the upload to the
+// owner happens lazily on first dispatch, so a PUT never blocks on a worker
+// round trip.
+func (c *Coordinator) Store() *store.Store { return c.st }
 
-// GetGraph returns the local metadata of a stored graph.
-func (c *Coordinator) GetGraph(name string) (store.Info, bool) {
-	return c.st.Get(name)
-}
-
-// ListGraphs lists the coordinator's stored graphs.
-func (c *Coordinator) ListGraphs() []store.Info {
-	return c.st.List()
-}
+// Batches is the coordinator's batch engine, which the HTTP layer serves
+// directly; its executor dispatches cells to the fleet. A draining
+// coordinator's engine refuses Submit with service.ErrDraining.
+func (c *Coordinator) Batches() *service.Batches { return c.b }
 
 // DeleteGraph removes a graph locally (refusing while a batch pins it) and
 // best-effort deletes the name from every worker it was uploaded to, so

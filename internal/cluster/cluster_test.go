@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
@@ -61,7 +62,7 @@ func clusterRun(t *testing.T, c *Coordinator, graphs []namedSource, spec service
 	for _, g := range graphs {
 		putGen(t, c, g.name, g.src)
 	}
-	v, err := c.SubmitBatch(spec)
+	v, err := c.Batches().Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +158,9 @@ func TestWorkerKilledMidBatch(t *testing.T) {
 	// a fast machine can complete every one of the victim's cells before the
 	// kill below lands, and a dead worker nobody dials again is never marked
 	// unhealthy (the assertion at the bottom would flake). Placement is
-	// decided at PutGraph time, so the victim is known before any dispatch.
-	info, _ := coord.GetGraph("kill-a")
+	// decided when the graph is put, so the victim is known before any
+	// dispatch.
+	info, _ := coord.Store().Get("kill-a")
 	victim := coord.owner(info.Fingerprint)
 	if victim == nil {
 		t.Fatal("no owner for kill-a")
@@ -166,7 +168,7 @@ func TestWorkerKilledMidBatch(t *testing.T) {
 	vw := findWorker(t, workers, victim.url)
 	vw.proxy.delay = 100 * time.Millisecond
 	vw.proxy.set(faultSlow)
-	v, err := coord.SubmitBatch(spec)
+	v, err := coord.Batches().Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestWorkerKilledMidBatch(t *testing.T) {
 	// re-placed.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		cur, _ := coord.GetBatch(v.ID)
+		cur, _ := coord.Batches().Get(v.ID)
 		if slices.ContainsFunc(cur.Cells, func(c service.BatchCellView) bool {
 			return c.Graph == "kill-a" && c.JobID != "" && !c.State.Terminal()
 		}) {
@@ -247,16 +249,16 @@ func TestWorkerHangMidBatch(t *testing.T) {
 		Seeds:  []uint64{1, 2, 3, 4},
 	}
 	coord, workers := newFleet(t, 3, func(cfg *Config) {
-		cfg.RequestTimeout = 500 * time.Millisecond
+		cfg.HTTPClient = &http.Client{Timeout: 500 * time.Millisecond}
 	})
 	for _, g := range graphs {
 		putGen(t, coord, g.name, g.src)
 	}
-	info, _ := coord.GetGraph("hang-a")
+	info, _ := coord.Store().Get("hang-a")
 	victim := coord.owner(info.Fingerprint)
 	findWorker(t, workers, victim.url).proxy.set(faultHang)
 
-	v, err := coord.SubmitBatch(spec)
+	v, err := coord.Batches().Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +303,7 @@ func TestCancelReleasesPinsAndStops(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
 	}
-	v, err := coord.SubmitBatch(service.BatchSpec{
+	v, err := coord.Batches().Submit(service.BatchSpec{
 		Graphs: []string{"cancel-g"},
 		Algos:  []string{"maxis"},
 		Seeds:  seeds,
@@ -309,7 +311,7 @@ func TestCancelReleasesPinsAndStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.CancelBatch(v.ID); err != nil {
+	if _, err := coord.Batches().Cancel(v.ID); err != nil {
 		t.Fatal(err)
 	}
 	fin := waitBatch(t, coord, v.ID)
@@ -319,7 +321,7 @@ func TestCancelReleasesPinsAndStops(t *testing.T) {
 	if fin.Canceled == 0 || fin.Done+fin.Failed+fin.Canceled != fin.Total {
 		t.Fatalf("member accounting %+v", fin)
 	}
-	if _, err := coord.CancelBatch(v.ID); err != service.ErrBatchFinished {
+	if _, err := coord.Batches().Cancel(v.ID); err != service.ErrBatchFinished {
 		t.Fatalf("second cancel: %v, want ErrBatchFinished", err)
 	}
 	if err := coord.DeleteGraph("cancel-g"); err != nil {
@@ -402,17 +404,17 @@ func TestSubmitValidation(t *testing.T) {
 	coord, _ := newFleet(t, 1, func(cfg *Config) { cfg.MaxCells = 4 })
 	putGen(t, coord, "v-g", gnpSource(16, 0.2, 61, 16))
 
-	if _, err := coord.SubmitBatch(service.BatchSpec{}); err == nil {
+	if _, err := coord.Batches().Submit(service.BatchSpec{}); err == nil {
 		t.Fatal("empty spec accepted")
 	}
-	_, err := coord.SubmitBatch(service.BatchSpec{Graphs: []string{"missing"}, Algos: []string{"mwm2"}})
+	_, err := coord.Batches().Submit(service.BatchSpec{Graphs: []string{"missing"}, Algos: []string{"mwm2"}})
 	if !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("missing graph: %v", err)
 	}
-	if _, err := coord.SubmitBatch(service.BatchSpec{Graphs: []string{"v-g"}, Algos: []string{"quantum"}}); err == nil {
+	if _, err := coord.Batches().Submit(service.BatchSpec{Graphs: []string{"v-g"}, Algos: []string{"quantum"}}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	_, err = coord.SubmitBatch(service.BatchSpec{
+	_, err = coord.Batches().Submit(service.BatchSpec{
 		Graphs: []string{"v-g"}, Algos: []string{"mwm2"}, Seeds: []uint64{1, 2, 3, 4, 5},
 	})
 	if err == nil {

@@ -121,10 +121,10 @@ func newFleet(t *testing.T, n int, mut func(*Config), workerOpts ...httpapi.Hand
 		})
 	}
 	cfg := Config{
-		Workers:        urls,
-		Window:         2,
-		RequestTimeout: 2 * time.Second,
-		PollInterval:   time.Millisecond,
+		Workers:      urls,
+		Window:       2,
+		HTTPClient:   &http.Client{Timeout: 2 * time.Second},
+		PollInterval: time.Millisecond,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -141,7 +141,7 @@ func newFleet(t *testing.T, n int, mut func(*Config), workerOpts ...httpapi.Hand
 // error.
 func putGen(t *testing.T, c *Coordinator, name string, src store.Source) store.Info {
 	t.Helper()
-	info, _, err := c.PutGraph(name, src)
+	info, _, err := c.Store().Put(name, src)
 	if err != nil {
 		t.Fatalf("put %s: %v", name, err)
 	}
@@ -154,7 +154,7 @@ func waitBatch(t *testing.T, c *Coordinator, id string) service.BatchView {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
-		v, ok := c.WaitBatch(id, time.Second)
+		v, ok := c.Batches().Wait(id, time.Second)
 		if !ok {
 			t.Fatalf("batch %s disappeared", id)
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -37,10 +38,10 @@ func TestDeadWorkerJournalReplacesGroup(t *testing.T) {
 		})
 	}
 	coord, err := New(Config{
-		Workers:        urls,
-		Window:         2,
-		RequestTimeout: 2 * time.Second,
-		PollInterval:   time.Millisecond,
+		Workers:      urls,
+		Window:       2,
+		HTTPClient:   &http.Client{Timeout: 2 * time.Second},
+		PollInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +51,7 @@ func TestDeadWorkerJournalReplacesGroup(t *testing.T) {
 	info := putGen(t, coord, "dead-wal", gnpSource(40, 0.2, 7, 16))
 	owner := coord.owner(info.Fingerprint)
 	logs[owner.id].Kill()
-	v, err := coord.SubmitBatch(service.BatchSpec{
+	v, err := coord.Batches().Submit(service.BatchSpec{
 		Graphs: []string{"dead-wal"}, Algos: []string{"maxis"}, Seeds: []uint64{1, 2, 3},
 	})
 	if err != nil {

@@ -24,47 +24,46 @@ import (
 func TestBatchRetentionBothBackends(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		start func(t *testing.T) (httpapi.Backend, http.Handler)
+		start func(t *testing.T) (*store.Store, *service.Batches, http.Handler)
 	}{
-		{"single-node", func(t *testing.T) (httpapi.Backend, http.Handler) {
+		{"single-node", func(t *testing.T) (*store.Store, *service.Batches, http.Handler) {
 			svc := service.New(service.Config{Workers: 2})
 			t.Cleanup(svc.Close)
 			st := store.New(store.Config{})
 			batches := service.NewBatches(svc, st, service.BatchConfig{MaxBatches: 2})
-			h := httpapi.NewHandler(svc, st, batches)
-			return batchesBackend{st, batches}, h
+			return st, batches, httpapi.NewHandler(svc, st, batches)
 		}},
-		{"coordinator", func(t *testing.T) (httpapi.Backend, http.Handler) {
+		{"coordinator", func(t *testing.T) (*store.Store, *service.Batches, http.Handler) {
 			coord, _ := newFleet(t, 2, func(cfg *Config) { cfg.MaxBatches = 2 })
-			return coord, httpapi.NewClusterHandler(coord)
+			return coord.Store(), coord.Batches(), httpapi.NewClusterHandler(coord)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b, h := tc.start(t)
+			st, b, h := tc.start(t)
 			ts := httptest.NewServer(h)
 			t.Cleanup(ts.Close)
-			if _, _, err := b.PutGraph("ret-g", gnpSource(24, 0.2, 91, 16)); err != nil {
+			if _, _, err := st.Put("ret-g", gnpSource(24, 0.2, 91, 16)); err != nil {
 				t.Fatal(err)
 			}
 			var ids []string
 			for seed := uint64(1); seed <= 3; seed++ {
-				v, err := b.SubmitBatch(service.BatchSpec{
+				v, err := b.Submit(service.BatchSpec{
 					Graphs: []string{"ret-g"}, Algos: []string{"maxis"}, Seeds: []uint64{seed},
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fin, ok := b.WaitBatch(v.ID, 30*time.Second); !ok || !fin.State.Terminal() {
+				if fin, ok := b.Wait(v.ID, 30*time.Second); !ok || !fin.State.Terminal() {
 					t.Fatalf("batch %s did not finish: %+v", v.ID, fin)
 				}
 				ids = append(ids, v.ID)
 			}
 
-			if _, ok := b.GetBatch(ids[0]); ok {
+			if _, ok := b.Get(ids[0]); ok {
 				t.Fatalf("oldest batch %s still retained", ids[0])
 			}
 			var listed []string
-			for _, v := range b.ListBatches() {
+			for _, v := range b.List() {
 				listed = append(listed, v.ID)
 			}
 			if len(listed) != 2 || listed[0] != ids[1] || listed[1] != ids[2] {
@@ -82,36 +81,8 @@ func TestBatchRetentionBothBackends(t *testing.T) {
 	}
 }
 
-// batchesBackend serves a single-node store and batch engine through the
-// httpapi.Backend surface the coordinator implements.
-type batchesBackend struct {
-	*store.Store
-	b *service.Batches
-}
-
-func (e batchesBackend) PutGraph(name string, src store.Source) (store.Info, bool, error) {
-	return e.Put(name, src)
-}
-func (e batchesBackend) GetGraph(name string) (store.Info, bool) { return e.Get(name) }
-func (e batchesBackend) ListGraphs() []store.Info                { return e.List() }
-func (e batchesBackend) DeleteGraph(name string) error           { return e.Delete(name) }
-func (e batchesBackend) SubmitBatch(spec service.BatchSpec) (service.BatchView, error) {
-	return e.b.Submit(spec)
-}
-func (e batchesBackend) GetBatch(id string) (service.BatchView, bool) { return e.b.Get(id) }
-func (e batchesBackend) WaitBatch(id string, d time.Duration) (service.BatchView, bool) {
-	return e.b.Wait(id, d)
-}
-func (e batchesBackend) ListBatches() []service.BatchView { return e.b.List() }
-func (e batchesBackend) CancelBatch(id string) (service.BatchView, error) {
-	return e.b.Cancel(id)
-}
-func (e batchesBackend) WaitCell(id string, i int, d time.Duration) (service.BatchCellView, bool) {
-	return e.b.WaitCell(id, i, d)
-}
-
 // TestDrainWaitsForEveryAcceptedBatch races four submitters (eight batches
-// each) against Drain: every batch SubmitBatch accepted must have finished
+// each) against Drain: every batch Submit accepted must have finished
 // by the time Drain returns true, and every later submission is refused
 // with ErrDraining.
 func TestDrainWaitsForEveryAcceptedBatch(t *testing.T) {
@@ -122,7 +93,7 @@ func TestDrainWaitsForEveryAcceptedBatch(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		coord, err := New(Config{
-			Workers: urls, Window: 2, RequestTimeout: 5 * time.Second,
+			Workers: urls, Window: 2, HTTPClient: &http.Client{Timeout: 5 * time.Second},
 			PollInterval: time.Millisecond, MaxBatches: 1 << 20,
 		})
 		if err != nil {
@@ -142,7 +113,7 @@ func TestDrainWaitsForEveryAcceptedBatch(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for seed := uint64(1); seed <= 8; seed++ {
-					v, err := coord.SubmitBatch(service.BatchSpec{
+					v, err := coord.Batches().Submit(service.BatchSpec{
 						Graphs: []string{"drain-g"}, Algos: []string{"maxis"}, Seeds: []uint64{seed},
 					})
 					if errors.Is(err, service.ErrDraining) {
@@ -166,12 +137,12 @@ func TestDrainWaitsForEveryAcceptedBatch(t *testing.T) {
 		drained := time.Now()
 		wg.Wait()
 		for _, id := range accepted {
-			v, ok := coord.GetBatch(id)
+			v, ok := coord.Batches().Get(id)
 			if !ok || !v.State.Terminal() || v.FinishedAt.After(drained) {
 				t.Fatalf("trial %d: batch %s accepted but not finished when Drain returned (%+v)", trial, id, v)
 			}
 		}
-		if _, err := coord.SubmitBatch(service.BatchSpec{Graphs: []string{"drain-g"}, Algos: []string{"maxis"}}); !errors.Is(err, service.ErrDraining) {
+		if _, err := coord.Batches().Submit(service.BatchSpec{Graphs: []string{"drain-g"}, Algos: []string{"maxis"}}); !errors.Is(err, service.ErrDraining) {
 			t.Fatalf("trial %d: submit after drain: %v, want ErrDraining", trial, err)
 		}
 		coord.Close()

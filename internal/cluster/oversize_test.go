@@ -21,7 +21,7 @@ func TestOversizedUploadFailsCellNotWorker(t *testing.T) {
 	putGen(t, coord, "big", gnpSource(200, 0.2, 7, 40))
 	putGen(t, coord, "small", gnpSource(16, 0.2, 8, 40))
 
-	v, err := coord.SubmitBatch(service.BatchSpec{
+	v, err := coord.Batches().Submit(service.BatchSpec{
 		Graphs: []string{"big", "small"},
 		Algos:  []string{"maxis"},
 		Seeds:  []uint64{1},

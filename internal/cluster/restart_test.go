@@ -73,11 +73,11 @@ func TestWorkerRestartsMidBatch(t *testing.T) {
 		})
 	}
 	coord, err := New(Config{
-		Workers:        urls,
-		Window:         2,
-		RequestTimeout: 2 * time.Second,
-		PollInterval:   time.Millisecond,
-		ProbeInterval:  5 * time.Millisecond,
+		Workers:       urls,
+		Window:        2,
+		HTTPClient:    &http.Client{Timeout: 2 * time.Second},
+		PollInterval:  time.Millisecond,
+		ProbeInterval: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestWorkerRestartsMidBatch(t *testing.T) {
 	for _, g := range graphs {
 		putGen(t, coord, g.name, g.src)
 	}
-	v, err := coord.SubmitBatch(spec)
+	v, err := coord.Batches().Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestWorkerRestartsMidBatch(t *testing.T) {
 	// Let the batch make progress, then kill the owner of the first graph.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		cur, _ := coord.GetBatch(v.ID)
+		cur, _ := coord.Batches().Get(v.ID)
 		if cur.Done >= 1 {
 			break
 		}
@@ -104,7 +104,7 @@ func TestWorkerRestartsMidBatch(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	info, _ := coord.GetGraph("rst-a")
+	info, _ := coord.Store().Get("rst-a")
 	victim := coord.owner(info.Fingerprint)
 	if victim == nil {
 		t.Fatal("no owner for rst-a")

@@ -60,7 +60,7 @@ func TestTraceSurvivesRetry(t *testing.T) {
 	for _, g := range graphs {
 		putGen(t, coord, g.name, g.src)
 	}
-	v, err := coord.SubmitBatch(spec)
+	v, err := coord.Batches().Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestTraceSurvivesRetry(t *testing.T) {
 	// graph so its remaining cells retry onto the survivors.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		cur, _ := coord.GetBatch(v.ID)
+		cur, _ := coord.Batches().Get(v.ID)
 		if cur.Done >= 1 {
 			break
 		}
@@ -81,7 +81,7 @@ func TestTraceSurvivesRetry(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	info, _ := coord.GetGraph("tr-a")
+	info, _ := coord.Store().Get("tr-a")
 	victim := coord.owner(info.Fingerprint)
 	if victim == nil {
 		t.Fatal("no owner for tr-a")

@@ -4,6 +4,8 @@ import (
 	"net/http"
 
 	"repro/internal/registry"
+	"repro/internal/service"
+	"repro/internal/store"
 )
 
 // This file is the HTTP surface of the cluster coordinator
@@ -16,11 +18,18 @@ import (
 // direction cluster → httpapi (the coordinator dials workers through Client).
 
 // ClusterBackend is the engine behind a coordinator-mode server;
-// internal/cluster.Coordinator implements it: the shared graph/batch
-// Backend surface plus the cluster-only health/placement and merged-metrics
-// views.
+// internal/cluster.Coordinator implements it. The graph and batch routes
+// run on its store and batch engine exactly as a single node's do; the
+// coordinator adds delete propagation and the cluster-only health/placement
+// and merged-metrics views.
 type ClusterBackend interface {
-	Backend
+	// Store is the coordinator's authoritative graph store.
+	Store() *store.Store
+	// Batches is the batch engine whose executor dispatches to the fleet.
+	Batches() *service.Batches
+	// DeleteGraph deletes a graph from the store and from every worker it
+	// was uploaded to.
+	DeleteGraph(name string) error
 	// View reports worker health and graph placement.
 	View() ClusterView
 	// Metrics merges coordinator counters with the fleet's summed counters.
@@ -136,6 +145,6 @@ func NewClusterHandler(b ClusterBackend, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", unsupported)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", unsupported)
 
-	registerBackendRoutes(mux, cfg, b)
+	registerBackendRoutes(mux, cfg, b.Store(), b.Batches(), b.DeleteGraph)
 	return cfg.tenantMiddleware(limitBody(mux, cfg.maxBody))
 }

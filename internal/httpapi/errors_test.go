@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,14 +55,15 @@ func TestParseWaitClampsAndRejects(t *testing.T) {
 
 // TestErrorStatusSurface is the table-driven status-code contract of the
 // HTTP API: every documented 400/404/405/409/503 path answers with exactly
-// the documented status. The server journals its store and its batches, so
-// the last rows can kill a journal, as a failed disk would, and see the
-// fault answer 503 on every route rather than blame the request.
+// the documented status. The server journals its store and its batches and
+// holds one graph resident, so the last rows can lose a spill file and kill
+// a journal, as a failed disk would, and see the fault answer 503 on every
+// route rather than blame the request.
 func TestErrorStatusSurface(t *testing.T) {
 	var storeLog, ledgerLog *wal.Log
 	dir := t.TempDir()
 	svc := service.New(service.Config{Workers: 1})
-	st, err := store.Open(store.Config{WALDir: filepath.Join(dir, "store"),
+	st, err := store.Open(store.Config{MaxGraphs: 1, WALDir: filepath.Join(dir, "store"),
 		WALHooks: &wal.TestHooks{OnOpen: func(l *wal.Log) { storeLog = l }}})
 	if err != nil {
 		t.Fatal(err)
@@ -114,6 +116,10 @@ func TestErrorStatusSurface(t *testing.T) {
 		{"graph upload without source", "PUT", "/v1/graphs/empty", `{}`, 400},
 		{"graph name with bad characters", "PUT", "/v1/graphs/bad%2Fname", `{"gen":{"gen":"gnp","n":4,"p":0.5}}`, 400},
 	}
+	lostSpill := []row{
+		{"batch on a spilled graph whose file is gone", "POST", "/v1/batches", `{"graphs":["lost"],"algos":["mwm2"]}`, 503},
+		{"job on a spilled graph whose file is gone", "POST", "/v1/jobs", `{"algo":"mwm2","graph_name":"lost"}`, 503},
+	}
 	storeKilled := []row{
 		{"graph upload with the store journal killed", "PUT", "/v1/graphs/late", `{"gen":{"gen":"gnp","n":4,"p":0.5}}`, 503},
 		{"graph delete with the store journal killed", "DELETE", "/v1/graphs/err-g", "", 503},
@@ -146,6 +152,18 @@ func TestErrorStatusSurface(t *testing.T) {
 		}
 	}
 	run(cases)
+	// "keep" spills "lost" (the store holds one graph), then lost's spill
+	// file disappears.
+	for i, name := range []string{"lost", "keep"} {
+		if _, err := c.PutGraphGen(context.Background(), name, GenRequest{Gen: "gnp", N: 12, P: 0.3, Seed: uint64(2 + i), MaxW: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lost, _ := st.Get("lost")
+	if err := os.Remove(filepath.Join(dir, "store", "spill", lost.Fingerprint+".rgd1")); err != nil {
+		t.Fatal(err)
+	}
+	run(lostSpill)
 	storeLog.Kill()
 	run(storeKilled)
 	ledgerLog.Kill()

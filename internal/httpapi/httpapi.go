@@ -6,7 +6,10 @@
 //
 // Layer (DESIGN.md §2): httpapi sits above internal/service and
 // internal/store and below the cmd binaries; it owns every wire type
-// (requests and responses) so no other layer marshals JSON.
+// (requests and responses) so no other layer marshals JSON. Both server
+// modes route the graph and batch endpoints straight to a store.Store and a
+// service.Batches: NewHandler to its own, NewClusterHandler to the cluster
+// coordinator's (cluster.go).
 //
 // Concurrency and ownership: the handler returned by NewHandler is a plain
 // stateless http.Handler — all state lives in the Service, Store and
@@ -47,8 +50,9 @@
 // record, 409 for a conflict, 413 body_too_large, 507 for a full store,
 // 400 for any other fault of the request, and 503 for every fault on the
 // server's side — queue_full, draining, or no code for a closed service or
-// store and a crashed, closed or failed journal. The middleware adds 401
-// unauthorized and 429 rate_limited in keyed mode.
+// store, an unrevivable spilled graph and a crashed, closed or failed
+// journal. The middleware adds 401 unauthorized and 429 rate_limited in
+// keyed mode.
 package httpapi
 
 import (
@@ -359,57 +363,6 @@ type MetricsResponse struct {
 	service.BatchMetrics
 }
 
-// Backend is the graph-store + batch surface a handler serves. Two
-// implementations exist: the single-node engine (engineBackend over a Store
-// and a Batches) and the cluster coordinator (internal/cluster.Coordinator).
-// Both are routed by registerBackendRoutes, so the two server modes cannot
-// drift apart on the shared wire format.
-type Backend interface {
-	// PutGraph registers a graph under name; see store.Store.Put.
-	PutGraph(name string, src store.Source) (store.Info, bool, error)
-	// GetGraph, ListGraphs and DeleteGraph mirror store.Get/List/Delete.
-	GetGraph(name string) (store.Info, bool)
-	ListGraphs() []store.Info
-	DeleteGraph(name string) error
-	// SubmitBatch, GetBatch, WaitBatch, ListBatches and CancelBatch mirror
-	// the service.Batches surface.
-	SubmitBatch(spec service.BatchSpec) (service.BatchView, error)
-	GetBatch(id string) (service.BatchView, bool)
-	WaitBatch(id string, d time.Duration) (service.BatchView, bool)
-	ListBatches() []service.BatchView
-	CancelBatch(id string) (service.BatchView, error)
-	// WaitCell long-polls one cell until it (or the whole batch) is
-	// terminal or d elapses — the primitive behind the streaming endpoint.
-	WaitCell(id string, index int, d time.Duration) (service.BatchCellView, bool)
-}
-
-// engineBackend adapts the single-node store + batch engine to Backend.
-type engineBackend struct {
-	st      *store.Store
-	batches *service.Batches
-}
-
-func (e engineBackend) PutGraph(name string, src store.Source) (store.Info, bool, error) {
-	return e.st.Put(name, src)
-}
-func (e engineBackend) GetGraph(name string) (store.Info, bool) { return e.st.Get(name) }
-func (e engineBackend) ListGraphs() []store.Info                { return e.st.List() }
-func (e engineBackend) DeleteGraph(name string) error           { return e.st.Delete(name) }
-func (e engineBackend) SubmitBatch(spec service.BatchSpec) (service.BatchView, error) {
-	return e.batches.Submit(spec)
-}
-func (e engineBackend) GetBatch(id string) (service.BatchView, bool) { return e.batches.Get(id) }
-func (e engineBackend) WaitBatch(id string, d time.Duration) (service.BatchView, bool) {
-	return e.batches.Wait(id, d)
-}
-func (e engineBackend) ListBatches() []service.BatchView { return e.batches.List() }
-func (e engineBackend) CancelBatch(id string) (service.BatchView, error) {
-	return e.batches.Cancel(id)
-}
-func (e engineBackend) WaitCell(id string, index int, d time.Duration) (service.BatchCellView, bool) {
-	return e.batches.WaitCell(id, index, d)
-}
-
 // NewHandler wires the HTTP API around the job service, the graph store and
 // the batch engine. It is a plain http.Handler so tests and in-process
 // clients can drive it through httptest.
@@ -453,20 +406,23 @@ func NewHandler(svc *service.Service, st *store.Store, batches *service.Batches,
 	}))
 
 	registerGroupRoutes(mux, cfg, svc, st)
-	registerBackendRoutes(mux, cfg, engineBackend{st: st, batches: batches})
+	registerBackendRoutes(mux, cfg, st, batches, st.Delete)
 	return cfg.tenantMiddleware(limitBody(mux, cfg.maxBody))
 }
 
-// registerBackendRoutes mounts the graph-store and batch routes over a
-// Backend — the one wire surface shared verbatim by the single-node handler
-// and the cluster coordinator handler.
-func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, b Backend) {
+// registerBackendRoutes mounts the graph-store and batch routes over a store
+// and a batch engine — the one wire surface shared verbatim by the
+// single-node handler and the cluster coordinator handler. deleteGraph
+// serves DELETE /v1/graphs/{name}: the store's own Delete on a single node,
+// the coordinator's, which also drops the name from its workers, in
+// coordinator mode.
+func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, st *store.Store, batches *service.Batches, deleteGraph func(name string) error) {
 	mux.HandleFunc("PUT /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
-		handlePutGraph(cfg, b, w, r)
+		handlePutGraph(cfg, st, w, r)
 	})
 	mux.HandleFunc("GET /v1/graphs", func(w http.ResponseWriter, r *http.Request) {
 		t := tenantFrom(r)
-		infos := b.ListGraphs()
+		infos := st.List()
 		out := struct {
 			Graphs []GraphInfo `json:"graphs"`
 		}{Graphs: make([]GraphInfo, 0, len(infos))}
@@ -474,25 +430,21 @@ func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, b Backend) {
 			if cfg.scoped(t) && !strings.HasPrefix(info.Name, t.ID+"/") {
 				continue
 			}
-			gi := toGraphInfo(info, false)
-			gi.Name = cfg.unscopeGraph(t, gi.Name)
-			out.Graphs = append(out.Graphs, gi)
+			out.Graphs = append(out.Graphs, cfg.graphInfo(t, info, false))
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
 	mux.HandleFunc("GET /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
 		t := tenantFrom(r)
-		info, ok := b.GetGraph(cfg.scopeGraph(t, r.PathValue("name")))
+		info, ok := st.Get(cfg.scopeGraph(t, r.PathValue("name")))
 		if !ok {
 			writeError(w, store.ErrNotFound)
 			return
 		}
-		gi := toGraphInfo(info, false)
-		gi.Name = cfg.unscopeGraph(t, gi.Name)
-		writeJSON(w, http.StatusOK, gi)
+		writeJSON(w, http.StatusOK, cfg.graphInfo(t, info, false))
 	})
 	mux.HandleFunc("DELETE /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
-		if err := b.DeleteGraph(cfg.scopeGraph(tenantFrom(r), r.PathValue("name"))); err != nil {
+		if err := deleteGraph(cfg.scopeGraph(tenantFrom(r), r.PathValue("name"))); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -500,22 +452,23 @@ func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, b Backend) {
 	})
 
 	mux.HandleFunc("POST /v1/batches", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmitBatch(cfg, b, w, r)
+		handleSubmitBatch(cfg, batches, w, r)
 	})
 	mux.HandleFunc("GET /v1/batches", func(w http.ResponseWriter, r *http.Request) {
-		views := b.ListBatches()
+		t := tenantFrom(r)
+		views := batches.List()
 		out := struct {
 			Batches []BatchResponse `json:"batches"`
 		}{Batches: make([]BatchResponse, 0, len(views))}
 		for _, v := range views {
 			if cfg.owns(r, v.Tenant) {
-				out.Batches = append(out.Batches, toBatchResponse(v, false))
+				out.Batches = append(out.Batches, cfg.batchResponse(t, v))
 			}
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
 	batchTenant := func(id string) (string, bool) {
-		v, ok := b.GetBatch(id)
+		v, ok := batches.Get(id)
 		return v.Tenant, ok
 	}
 	mux.HandleFunc("GET /v1/batches/{id}", cfg.guard(batchTenant, service.ErrBatchNotFound, func(w http.ResponseWriter, r *http.Request) {
@@ -536,27 +489,23 @@ func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, b Backend) {
 				w.Header().Set("Retry-After", "1")
 			}
 		}
-		v, ok := b.WaitBatch(r.PathValue("id"), wait)
+		v, ok := batches.Wait(r.PathValue("id"), wait)
 		if !ok {
 			writeError(w, service.ErrBatchNotFound)
 			return
 		}
-		out := toBatchResponse(v, true)
-		cfg.stripBatchTenant(t, &out)
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, cfg.batchResponse(t, v))
 	}))
 	mux.HandleFunc("GET /v1/batches/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		handleStreamBatch(cfg, b, w, r)
+		handleStreamBatch(cfg, batches, w, r)
 	})
 	mux.HandleFunc("DELETE /v1/batches/{id}", cfg.guard(batchTenant, service.ErrBatchNotFound, func(w http.ResponseWriter, r *http.Request) {
-		v, err := b.CancelBatch(r.PathValue("id"))
+		v, err := batches.Cancel(r.PathValue("id"))
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		out := toBatchResponse(v, true)
-		cfg.stripBatchTenant(tenantFrom(r), &out)
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, cfg.batchResponse(tenantFrom(r), v))
 	}))
 }
 
@@ -661,7 +610,7 @@ func traceOf(r *http.Request, body string) string {
 // upload, streamed or inline, is read under.
 var uploadCaps = graph.ReadOptions{MaxNodes: registry.MaxGraphNodes, MaxEdges: registry.MaxGraphEdges}
 
-func handlePutGraph(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *http.Request) {
+func handlePutGraph(cfg *handlerConfig, st *store.Store, w http.ResponseWriter, r *http.Request) {
 	t := tenantFrom(r)
 	// "/" is the store's internal namespace separator (tenant scoping);
 	// user-supplied names never contain it, keyed mode or not.
@@ -702,7 +651,7 @@ func handlePutGraph(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *htt
 			return
 		}
 	}
-	info, dedup, err := b.PutGraph(cfg.scopeGraph(t, r.PathValue("name")), src)
+	info, dedup, err := st.Put(cfg.scopeGraph(t, r.PathValue("name")), src)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -711,12 +660,10 @@ func handlePutGraph(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *htt
 	if dedup {
 		code = http.StatusOK
 	}
-	gi := toGraphInfo(info, dedup)
-	gi.Name = cfg.unscopeGraph(t, gi.Name)
-	writeJSON(w, code, gi)
+	writeJSON(w, code, cfg.graphInfo(t, info, dedup))
 }
 
-func handleSubmitBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *http.Request) {
+func handleSubmitBatch(cfg *handlerConfig, batches *service.Batches, w http.ResponseWriter, r *http.Request) {
 	t := tenantFrom(r)
 	var req BatchRequest
 	if !decodeBody(w, r, &req) {
@@ -750,15 +697,13 @@ func handleSubmitBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 		spec.Cells = append(spec.Cells, service.BatchCell{
 			Graph: cfg.scopeGraph(t, c.Graph), Algo: c.Algo, Params: params})
 	}
-	v, err := b.SubmitBatch(spec)
+	v, err := batches.Submit(spec)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	w.Header().Set(TraceHeader, v.TraceID)
-	out := toBatchResponse(v, true)
-	cfg.stripBatchTenant(t, &out)
-	writeJSON(w, http.StatusAccepted, out)
+	writeJSON(w, http.StatusAccepted, cfg.batchResponse(t, v))
 }
 
 // toSource validates and converts an upload body to a store source.
@@ -814,9 +759,10 @@ func resolveGraph(st *store.Store, text, name string, gen *GenRequest) (*graph.G
 // cluster coordinator fails the cell rather than the worker; a full store
 // answers 507. Every fault on the server's side answers 503 — queue_full
 // when the tenant's queue is saturated (retryable on this server), draining
-// in a graceful drain, and with no code for a closed service or store and a
-// crashed, closed or failed journal — so a coordinator re-places the work
-// instead of failing it. Anything else is the request's fault: 400.
+// in a graceful drain, and with no code for a closed service or store, a
+// spilled graph that cannot be revived and a crashed, closed or failed
+// journal — so a coordinator re-places the work instead of failing it.
+// Anything else is the request's fault: 400.
 func errorStatus(err error) (int, string) {
 	is := func(targets ...error) bool {
 		return slices.ContainsFunc(targets, func(t error) bool { return errors.Is(err, t) })
@@ -835,7 +781,7 @@ func errorStatus(err error) (int, string) {
 		return http.StatusServiceUnavailable, CodeQueueFull
 	case is(service.ErrDraining):
 		return http.StatusServiceUnavailable, CodeDraining
-	case is(service.ErrClosed, store.ErrClosed, wal.ErrCrashed, wal.ErrClosed, wal.ErrFailed):
+	case is(service.ErrClosed, store.ErrClosed, store.ErrRevive, wal.ErrCrashed, wal.ErrClosed, wal.ErrFailed):
 		return http.StatusServiceUnavailable, ""
 	}
 	return http.StatusBadRequest, ""
@@ -899,9 +845,11 @@ func toJobResult(res *registry.Result) *JobResult {
 	}
 }
 
-func toGraphInfo(info store.Info, dedup bool) GraphInfo {
+// graphInfo renders a stored graph's metadata for tenant t, its name
+// unscoped.
+func (cfg *handlerConfig) graphInfo(t tenant.Tenant, info store.Info, dedup bool) GraphInfo {
 	return GraphInfo{
-		Name:        info.Name,
+		Name:        cfg.unscopeGraph(t, info.Name),
 		Fingerprint: info.Fingerprint,
 		Nodes:       info.Nodes,
 		Edges:       info.Edges,
@@ -913,7 +861,10 @@ func toGraphInfo(info store.Info, dedup bool) GraphInfo {
 	}
 }
 
-func toBatchResponse(v service.BatchView, detail bool) BatchResponse {
+// batchResponse renders a batch snapshot for tenant t: the counts, plus
+// the cells and groups the view carries (List summaries carry neither), with
+// the tenant's graph prefix stripped as each is rendered.
+func (cfg *handlerConfig) batchResponse(t tenant.Tenant, v service.BatchView) BatchResponse {
 	out := BatchResponse{
 		ID:        v.ID,
 		State:     string(v.State),
@@ -927,29 +878,15 @@ func toBatchResponse(v service.BatchView, detail bool) BatchResponse {
 		CreatedAt: v.CreatedAt,
 	}
 	if !v.FinishedAt.IsZero() {
-		t := v.FinishedAt
-		out.FinishedAt = &t
-	}
-	if !detail {
-		return out
+		fin := v.FinishedAt
+		out.FinishedAt = &fin
 	}
 	for _, c := range v.Cells {
-		out.Cells = append(out.Cells, BatchCellView{
-			Index:    c.Index,
-			Graph:    c.Graph,
-			Algo:     c.Algo,
-			Params:   ParamsWire(c.Params),
-			JobID:    c.JobID,
-			TraceID:  c.TraceID,
-			State:    string(c.State),
-			CacheHit: c.CacheHit,
-			Error:    c.Error,
-			Result:   toJobResult(c.Result),
-		})
+		out.Cells = append(out.Cells, cfg.cellWire(t, c))
 	}
 	for _, g := range v.Groups {
 		out.Groups = append(out.Groups, BatchGroup{
-			Graph:    g.Graph,
+			Graph:    cfg.unscopeGraph(t, g.Graph),
 			Algo:     g.Algo,
 			Params:   ParamsWire(g.Params),
 			Runs:     g.Runs,
@@ -963,6 +900,23 @@ func toBatchResponse(v service.BatchView, detail bool) BatchResponse {
 		})
 	}
 	return out
+}
+
+// cellWire renders one batch cell for tenant t, the same in a batch
+// response and in the result stream.
+func (cfg *handlerConfig) cellWire(t tenant.Tenant, c service.BatchCellView) BatchCellView {
+	return BatchCellView{
+		Index:    c.Index,
+		Graph:    cfg.unscopeGraph(t, c.Graph),
+		Algo:     c.Algo,
+		Params:   ParamsWire(c.Params),
+		JobID:    c.JobID,
+		TraceID:  c.TraceID,
+		State:    string(c.State),
+		CacheHit: c.CacheHit,
+		Error:    c.Error,
+		Result:   toJobResult(c.Result),
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -146,15 +146,18 @@ func TestSubmitEchoesTraceHeader(t *testing.T) {
 }
 
 // fakeClusterBackend serves canned cluster metrics/views for exposition
-// tests; the Backend surface is never hit by /metrics.
+// tests; /metrics never reaches the graph and batch routes, so it has no
+// store or batch engine behind them.
 type fakeClusterBackend struct {
-	Backend
 	m ClusterMetrics
 	v ClusterView
 }
 
-func (f fakeClusterBackend) View() ClusterView       { return f.v }
-func (f fakeClusterBackend) Metrics() ClusterMetrics { return f.m }
+func (f fakeClusterBackend) Store() *store.Store       { return nil }
+func (f fakeClusterBackend) Batches() *service.Batches { return nil }
+func (f fakeClusterBackend) DeleteGraph(string) error  { return nil }
+func (f fakeClusterBackend) View() ClusterView         { return f.v }
+func (f fakeClusterBackend) Metrics() ClusterMetrics   { return f.m }
 
 func TestClusterPromExposition(t *testing.T) {
 	b := fakeClusterBackend{

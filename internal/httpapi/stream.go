@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/service"
-	"repro/internal/tenant"
 )
 
 // This file is the incremental batch-result stream (DESIGN.md §9): GET
@@ -77,10 +76,10 @@ const (
 )
 
 // handleStreamBatch serves GET /v1/batches/{id}/stream.
-func handleStreamBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *http.Request) {
+func handleStreamBatch(cfg *handlerConfig, batches *service.Batches, w http.ResponseWriter, r *http.Request) {
 	t := tenantFrom(r)
 	id := r.PathValue("id")
-	v, ok := b.GetBatch(id)
+	v, ok := batches.Get(id)
 	if !ok || !cfg.owns(r, v.Tenant) {
 		writeError(w, service.ErrBatchNotFound)
 		return
@@ -162,7 +161,7 @@ func handleStreamBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 			if ctx.Err() != nil {
 				return
 			}
-			cv, ok := b.WaitCell(id, i, streamSlice)
+			cv, ok := batches.WaitCell(id, i, streamSlice)
 			if !ok {
 				return // batch evicted mid-stream
 			}
@@ -172,15 +171,14 @@ func handleStreamBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 				// with this cell frozen non-terminal" (cancel, drain): the
 				// latter emits the frozen snapshot so the stream matches
 				// the terminal GET exactly.
-				if bv, ok := b.GetBatch(id); ok && bv.State.Terminal() {
+				if bv, ok := batches.Get(id); ok && bv.State.Terminal() {
 					settled = true
 				} else if !ok {
 					return
 				}
 			}
 			if settled {
-				wc := toStreamCellWire(cfg, t, cv)
-				if err := emitCell(i, wc); err != nil {
+				if err := emitCell(i, cfg.cellWire(t, cv)); err != nil {
 					return
 				}
 				flush()
@@ -199,15 +197,13 @@ func handleStreamBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 		if ctx.Err() != nil {
 			return
 		}
-		bv, ok := b.WaitBatch(id, streamSlice)
+		bv, ok := batches.Wait(id, streamSlice)
 		if !ok {
 			return
 		}
 		if bv.State.Terminal() {
-			out := toBatchResponse(bv, true)
-			cfg.stripBatchTenant(t, &out)
-			out.Cells = nil
-			data, err := json.Marshal(out)
+			bv.Cells = nil // already streamed
+			data, err := json.Marshal(cfg.batchResponse(t, bv))
 			if err != nil {
 				return
 			}
@@ -223,24 +219,6 @@ func handleStreamBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 			return
 		}
 		flush()
-	}
-}
-
-// toStreamCellWire renders one settled service cell in its wire form with
-// the tenant's graph prefix stripped — identical to the cell's rendering
-// inside a terminal GET /v1/batches/{id}.
-func toStreamCellWire(cfg *handlerConfig, t tenant.Tenant, c service.BatchCellView) BatchCellView {
-	return BatchCellView{
-		Index:    c.Index,
-		Graph:    cfg.unscopeGraph(t, c.Graph),
-		Algo:     c.Algo,
-		Params:   ParamsWire(c.Params),
-		JobID:    c.JobID,
-		TraceID:  c.TraceID,
-		State:    string(c.State),
-		CacheHit: c.CacheHit,
-		Error:    c.Error,
-		Result:   toJobResult(c.Result),
 	}
 }
 
@@ -375,6 +353,11 @@ func DecodeStreamCell(data []byte) (BatchCellView, error) {
 			c.State = stateCodes[code]
 		}
 	}
+	// Like the RJG1 decoder, refuse every encoding encodeStreamCell cannot
+	// produce, so a decoded cell re-encodes to exactly its own bytes.
+	if flags&^(sfCacheHit|sfError|sfResult|sfTrace|sfParams) != 0 || flags&(sfResult|sfTrace) == sfTrace {
+		r.fail("bad flags %#x", flags)
+	}
 	c.CacheHit = flags&sfCacheHit != 0
 	if flags&sfParams != 0 {
 		p := &ParamsRequest{
@@ -385,11 +368,17 @@ func DecodeStreamCell(data []byte) (BatchCellView, error) {
 			Model: r.str("params model"),
 			Seed:  r.uvarint("params seed"),
 		}
-		p.DetColoring = r.byte("params det_coloring") != 0
+		det := r.byte("params det_coloring")
+		if det > 1 {
+			r.fail("params det_coloring byte %d", det)
+		}
+		p.DetColoring = det == 1
 		c.Params = p
 	}
 	if flags&sfError != 0 {
-		c.Error = r.str("cell error")
+		if c.Error = r.str("cell error"); c.Error == "" {
+			r.fail("empty cell error")
+		}
 	}
 	if flags&sfResult != 0 {
 		c.Result = readResult(r, flags&sfTrace != 0)

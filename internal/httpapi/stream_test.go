@@ -408,9 +408,12 @@ func TestWriteJSONNeverTearsA200(t *testing.T) {
 }
 
 // FuzzStreamChunkDecode fuzzes the binary stream cell decoder: arbitrary
-// payloads must never panic, and anything that decodes must re-encode and
-// decode back to the same cell (the codec is self-consistent on its own
-// output).
+// payloads must never panic, and the encoding is canonical — anything that
+// decodes re-encodes to exactly the bytes it was decoded from. The committed
+// corpus in testdata/fuzz/FuzzStreamChunkDecode holds encoder output with
+// one byte changed to what the encoder never writes: an unknown flag bit, a
+// trace flag without a result, an error flag over an empty string and a
+// det_coloring byte of 2.
 func FuzzStreamChunkDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeStreamCell(BatchCellView{State: "queued"}))
@@ -427,16 +430,9 @@ func FuzzStreamChunkDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := encodeStreamCell(cv)
-		cv2, err := DecodeStreamCell(re)
-		if err != nil {
-			t.Fatalf("re-encoded cell failed to decode: %v", err)
-		}
-		// Compare the two cells through their encodings: the codec is
-		// bit-faithful for floats, and byte equality (unlike DeepEqual)
-		// treats a round-tripped NaN as equal to itself.
-		if re2 := encodeStreamCell(cv2); !bytes.Equal(re, re2) {
-			t.Fatalf("codec not self-consistent:\nfirst:  %+v (%x)\nsecond: %+v (%x)", cv, re, cv2, re2)
+		// Floats travel as their bits, so byte equality holds for NaNs too.
+		if re := encodeStreamCell(cv); !bytes.Equal(re, data) {
+			t.Fatalf("decoded %+v re-encodes to\n%x\nnot\n%x", cv, re, data)
 		}
 	})
 }

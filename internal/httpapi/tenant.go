@@ -166,21 +166,6 @@ func (cfg *handlerConfig) guard(tenantOf func(id string) (string, bool), notFoun
 	}
 }
 
-// stripBatchTenant rewrites the stored (scoped) graph names inside a batch
-// response back to the tenant-visible names.
-func (cfg *handlerConfig) stripBatchTenant(t tenant.Tenant, out *BatchResponse) {
-	if !cfg.scoped(t) {
-		return
-	}
-	prefix := t.ID + "/"
-	for i := range out.Cells {
-		out.Cells[i].Graph = strings.TrimPrefix(out.Cells[i].Graph, prefix)
-	}
-	for i := range out.Groups {
-		out.Groups[i].Graph = strings.TrimPrefix(out.Groups[i].Graph, prefix)
-	}
-}
-
 // waiterGate bounds concurrent long-poll waiters (and result streams) per
 // tenant. Acquire failing means the tenant already parks its full allowance
 // of connections; the caller degrades to an immediate snapshot (?wait=) or a

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -124,6 +125,24 @@ func TestSpillReviveUsesResidentPayload(t *testing.T) {
 	defer release2()
 	if g != ga {
 		t.Fatal("revived name does not share the resident payload")
+	}
+}
+
+// TestSpillLostFileFailsRevive: a spilled name whose spill file is gone
+// fails Acquire with ErrRevive, the storage fault the HTTP layer answers
+// 503, wrapping the cause; the name stays spilled, not half revived.
+func TestSpillLostFileFailsRevive(t *testing.T) {
+	s, dir := spillStore(t)
+	fillSpill(t, s)
+	info, _ := s.Get("g1")
+	if err := os.Remove(filepath.Join(dir, info.Fingerprint+".rgd1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Acquire("g1"); !errors.Is(err, ErrRevive) || !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("acquire with the spill file gone: %v, want ErrRevive wrapping fs.ErrNotExist", err)
+	}
+	if info, ok := s.Get("g1"); !ok || !info.Spilled {
+		t.Fatalf("after the failed revive: %+v, %t; want g1 still spilled", info, ok)
 	}
 }
 

@@ -43,6 +43,9 @@ var (
 	// ErrClosed refuses a Put or Delete on a closed durable store, which
 	// could no longer journal it.
 	ErrClosed = errors.New("store: closed")
+	// ErrRevive marks an Acquire of a spilled name whose spill file could
+	// not be read back: a fault of the server's storage, not of the request.
+	ErrRevive = errors.New("store: revive")
 )
 
 // Config sizes the store. Zero values select defaults.
@@ -365,7 +368,7 @@ func (s *Store) reviveLocked(name string, sp spillRec) (*record, error) {
 	} else {
 		d, err := graph.OpenDisk(s.spillPath(sp.fp))
 		if err != nil {
-			return nil, fmt.Errorf("store: revive %q: %w", name, err)
+			return nil, fmt.Errorf("%w %q: %w", ErrRevive, name, err)
 		}
 		s.mapped[sp.fp] = d.Graph
 		g = d.Graph
