@@ -570,14 +570,7 @@ func (b *Batches) Submit(spec BatchSpec) (BatchView, error) {
 	// so every later cell record replays against a known batch. A failed
 	// commit (crashed log) rolls the registration back and burns the ID.
 	if b.ledger != nil {
-		sp := submitPayload{
-			ID: bt.id, TraceID: trace, Tenant: bt.tenant, TimeoutNS: int64(spec.Timeout),
-			Created: bt.created, Cells: make([]cellSpecRec, len(cells)),
-		}
-		for i, c := range cells {
-			sp.Cells[i] = cellSpecRec{Graph: c.Graph, Algo: c.Algo, Params: c.Params}
-		}
-		if err := b.ledger.commit(recBatchSubmit, sp); err != nil {
+		if err := b.ledger.commit(recBatchSubmit, bt.submitRec()); err != nil {
 			b.mu.Lock()
 			delete(b.batches, bt.id)
 			b.mu.Unlock()

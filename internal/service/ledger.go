@@ -25,9 +25,14 @@ package service
 // failure. State applied only after the ack can end up in neither the
 // snapshot nor any surviving segment, silently losing an acked operation.
 //
-// Replay idempotence: submit records of known IDs, cell records for
-// already-terminal cells, and terminal/cancel records for already-terminal
-// batches are skipped; unknown record types are skipped.
+// Snapshots are records too: one next-ID record (the batch counter, which
+// keeps the IDs of evicted batches from being handed out again), then per
+// retained batch its submit record, a cell record per settled cell, a cancel
+// record if a cancel was requested and a terminal record if it finished. So
+// OpenBatches replays the snapshot and the tail through one apply function,
+// and replay is idempotent: submit records of known IDs, cell records for
+// already-terminal cells, terminal/cancel records for already-terminal
+// batches and unknown record types are skipped.
 
 import (
 	"encoding/json"
@@ -51,6 +56,7 @@ const (
 	recCellDone      = 2 // cellPayload
 	recBatchTerminal = 3 // terminalPayload
 	recBatchCancel   = 4 // cancelPayload
+	recNextID        = 5 // nextIDPayload; written only into snapshots
 )
 
 type cellSpecRec struct {
@@ -88,19 +94,11 @@ type cancelPayload struct {
 	Batch string `json:"batch"`
 }
 
-// ledgerSnapshot is the full engine state: replaying it is equivalent to
-// replaying every record that built it.
-type ledgerSnapshot struct {
-	NextID  uint64          `json:"next_id"`
-	Batches []batchSnapshot `json:"batches"`
-}
-
-type batchSnapshot struct {
-	Submit    submitPayload `json:"submit"`
-	Done      []cellPayload `json:"done,omitempty"`
-	State     BatchState    `json:"state"`
-	CancelReq bool          `json:"cancel_req,omitempty"`
-	Finished  time.Time     `json:"finished"`
+// nextIDPayload carries the batch counter, the one piece of engine state no
+// other record holds once retention has evicted the newest-numbered batch:
+// it keeps evicted IDs from being handed out again.
+type nextIDPayload struct {
+	Next uint64 `json:"next"`
 }
 
 type ledgerReq struct {
@@ -231,66 +229,81 @@ func (ld *ledger) appendOne(req ledgerReq, acks []chan error) []chan error {
 	return acks
 }
 
-// snapshot serializes the whole engine behind the engine and batch mutexes
-// (never the Service mutex) and compacts the log.
+// snapshot compacts the log into the records that rebuild the engine: the
+// batch counter, then per retained batch its submit record, one cell record
+// per settled cell, a cancel record if a cancel was requested and a
+// terminal record if it finished. It collects them behind the engine and
+// batch mutexes (never the Service mutex) and marshals them off the locks:
+// settled results are immutable.
 func (ld *ledger) snapshot(b *Batches) error {
 	b.mu.Lock()
-	snap := ledgerSnapshot{NextID: b.nextID, Batches: make([]batchSnapshot, 0, len(b.batches))}
+	reqs := []ledgerReq{{typ: recNextID, payload: nextIDPayload{Next: b.nextID}}}
 	bts := make([]*batch, 0, len(b.batches))
 	for _, bt := range b.batches {
 		bts = append(bts, bt)
 	}
 	b.mu.Unlock()
 	for _, bt := range bts {
-		snap.Batches = append(snap.Batches, bt.snapshotRec())
+		reqs = bt.snapshotRecords(reqs)
 	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return err
+	records := make([]wal.Record, len(reqs))
+	for i, req := range reqs {
+		data, err := json.Marshal(req.payload)
+		if err != nil {
+			return err
+		}
+		records[i] = wal.Record{Type: req.typ, Data: data}
 	}
-	return ld.log.WriteSnapshot(data)
+	return ld.log.WriteSnapshot(records)
 }
 
-func (bt *batch) snapshotRec() batchSnapshot {
+// snapshotRecords appends the records that rebuild bt to reqs.
+func (bt *batch) snapshotRecords(reqs []ledgerReq) []ledgerReq {
 	bt.mu.Lock()
 	defer bt.mu.Unlock()
-	rec := batchSnapshot{
-		Submit: submitPayload{
-			ID:        bt.id,
-			TraceID:   bt.traceID,
-			Tenant:    bt.tenant,
-			TimeoutNS: int64(bt.timeout),
-			Created:   bt.created,
-			Cells:     make([]cellSpecRec, len(bt.cells)),
-		},
-		State:     bt.state,
-		CancelReq: bt.cancelReq,
-		Finished:  bt.finished,
-	}
-	for i, c := range bt.specs {
-		rec.Submit.Cells[i] = cellSpecRec{Graph: c.Graph, Algo: c.Algo, Params: c.Params}
-		if ms := &bt.cells[i]; ms.state.Terminal() {
-			rec.Done = append(rec.Done, cellPayload{
-				Batch: bt.id, Index: i, State: ms.state, JobID: ms.jobID,
-				CacheHit: ms.cacheHit, Err: ms.err, Result: ms.result,
-			})
+	reqs = append(reqs, ledgerReq{typ: recBatchSubmit, payload: bt.submitRec()})
+	for i := range bt.cells {
+		if bt.cells[i].state.Terminal() {
+			reqs = append(reqs, ledgerReq{typ: recCellDone, payload: bt.cellRecLocked(i)})
 		}
 	}
-	return rec
+	if bt.cancelReq {
+		reqs = append(reqs, ledgerReq{typ: recBatchCancel, payload: cancelPayload{Batch: bt.id}})
+	}
+	if bt.state.Terminal() {
+		reqs = append(reqs, ledgerReq{typ: recBatchTerminal, payload: terminalPayload{Batch: bt.id, State: bt.state, Finished: bt.finished}})
+	}
+	return reqs
+}
+
+// submitRec is bt's submit record. Its fields never change once the batch
+// is registered, so no lock is needed.
+func (bt *batch) submitRec() submitPayload {
+	p := submitPayload{
+		ID: bt.id, TraceID: bt.traceID, Tenant: bt.tenant, TimeoutNS: int64(bt.timeout),
+		Created: bt.created, Cells: make([]cellSpecRec, len(bt.specs)),
+	}
+	for i, c := range bt.specs {
+		p.Cells[i] = cellSpecRec{Graph: c.Graph, Algo: c.Algo, Params: c.Params}
+	}
+	return p
+}
+
+// cellRecLocked is cell i's terminal record. Must be called with bt.mu held.
+func (bt *batch) cellRecLocked(i int) cellPayload {
+	ms := &bt.cells[i]
+	return cellPayload{
+		Batch: bt.id, Index: i, State: ms.state, JobID: ms.jobID,
+		CacheHit: ms.cacheHit, Err: ms.err, Result: ms.result,
+	}
 }
 
 // journalCellLocked records one member's terminal state. Must be called with
 // bt.mu held (and possibly the Service mutex above it): enqueue never blocks.
 func (bt *batch) journalCellLocked(i int) {
-	ld := bt.eng.ledger
-	if ld == nil {
-		return
+	if ld := bt.eng.ledger; ld != nil {
+		ld.enqueue(recCellDone, bt.cellRecLocked(i))
 	}
-	ms := &bt.cells[i]
-	ld.enqueue(recCellDone, cellPayload{
-		Batch: bt.id, Index: i, State: ms.state, JobID: ms.jobID,
-		CacheHit: ms.cacheHit, Err: ms.err, Result: ms.result,
-	})
 }
 
 // LedgerMetrics reports the batch ledger's WAL counters plus resume stats.
@@ -338,58 +351,8 @@ func OpenBatches(svc *Service, st *store.Store, cfg BatchConfig) (*Batches, erro
 		done:  make(chan struct{}),
 	}
 
-	if rec.Snapshot != nil {
-		var snap ledgerSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			l.Close()
-			return nil, fmt.Errorf("service: corrupt ledger snapshot: %w", err)
-		}
-		b.nextID = snap.NextID
-		for _, bs := range snap.Batches {
-			bt := b.replaySubmit(bs.Submit)
-			if bt == nil {
-				continue
-			}
-			for _, c := range bs.Done {
-				replayCell(bt, c)
-			}
-			bt.cancelReq = bs.CancelReq
-			if bs.State.Terminal() {
-				replayTerminal(bt, terminalPayload{Batch: bt.id, State: bs.State, Finished: bs.Finished})
-			}
-		}
-	}
-	for _, r := range rec.Records {
-		switch r.Type {
-		case recBatchSubmit:
-			var p submitPayload
-			if json.Unmarshal(r.Data, &p) == nil {
-				b.replaySubmit(p)
-			}
-		case recCellDone:
-			var p cellPayload
-			if json.Unmarshal(r.Data, &p) == nil {
-				if bt := b.batches[p.Batch]; bt != nil {
-					replayCell(bt, p)
-				}
-			}
-		case recBatchTerminal:
-			var p terminalPayload
-			if json.Unmarshal(r.Data, &p) == nil {
-				if bt := b.batches[p.Batch]; bt != nil {
-					replayTerminal(bt, p)
-				}
-			}
-		case recBatchCancel:
-			var p cancelPayload
-			if json.Unmarshal(r.Data, &p) == nil {
-				if bt := b.batches[p.Batch]; bt != nil && !bt.state.Terminal() {
-					bt.cancelReq = true
-				}
-			}
-		default:
-			// Newer engine version's record: skip.
-		}
+	for _, r := range slices.Concat(rec.Snapshot, rec.Records) {
+		b.apply(r)
 	}
 	if len(b.batches) > 0 || rec.TornTail {
 		b.log.Info("wal_replay",
@@ -447,52 +410,70 @@ func compareBatchIDs(x, y string) int {
 	return strings.Compare(x, y)
 }
 
-// replaySubmit rebuilds one batch shell from its submit record; idempotent
-// on duplicate IDs. Single-threaded (boot): no locks.
-func (b *Batches) replaySubmit(p submitPayload) *batch {
-	if p.ID == "" || len(p.Cells) == 0 {
-		return nil
+// apply replays one ledger record, from the snapshot or the tail alike.
+// Replay is idempotent: a submit of a known ID, a cell record of a terminal
+// cell, and cancel or terminal records of a finished batch are skipped, and
+// so are malformed records and unknown types (a newer engine version's).
+// Single-threaded (boot): no locks.
+func (b *Batches) apply(r wal.Record) {
+	switch r.Type {
+	case recNextID:
+		var p nextIDPayload
+		if json.Unmarshal(r.Data, &p) == nil {
+			b.nextID = max(b.nextID, p.Next)
+		}
+	case recBatchSubmit:
+		var p submitPayload
+		if json.Unmarshal(r.Data, &p) != nil || p.ID == "" || len(p.Cells) == 0 || b.batches[p.ID] != nil {
+			return
+		}
+		specs := make([]BatchCell, len(p.Cells))
+		for i, c := range p.Cells {
+			specs[i] = BatchCell{Graph: c.Graph, Algo: c.Algo, Params: c.Params}
+		}
+		bt := b.newBatch(p.TraceID, p.Tenant, time.Duration(p.TimeoutNS), p.Created, specs)
+		bt.id = p.ID
+		b.batches[p.ID] = bt
+		if n, err := strconv.ParseUint(p.ID[1:], 10, 64); err == nil {
+			b.nextID = max(b.nextID, n)
+		}
+	case recCellDone:
+		var p cellPayload
+		if json.Unmarshal(r.Data, &p) != nil {
+			return
+		}
+		bt := b.batches[p.Batch]
+		if bt == nil || p.Index < 0 || p.Index >= len(bt.cells) || !p.State.Terminal() ||
+			!bt.settleLocked(p.Index, CellOutcome{State: p.State, CacheHit: p.CacheHit, Error: p.Err, Result: p.Result}) {
+			return
+		}
+		bt.cells[p.Index].jobID = p.JobID
+		if p.JobID != "" {
+			bt.submitted++
+		}
+		b.ledger.cellsRestored.Add(1)
+	case recBatchTerminal:
+		var p terminalPayload
+		if json.Unmarshal(r.Data, &p) != nil {
+			return
+		}
+		// No finalize bookkeeping: a batch that was already terminal
+		// before boot holds no pins to release.
+		if bt := b.batches[p.Batch]; bt != nil && !bt.state.Terminal() {
+			bt.state = p.State
+			bt.finished = p.Finished
+			bt.stop()
+			close(bt.doneCh)
+		}
+	case recBatchCancel:
+		var p cancelPayload
+		if json.Unmarshal(r.Data, &p) != nil {
+			return
+		}
+		if bt := b.batches[p.Batch]; bt != nil && !bt.state.Terminal() {
+			bt.cancelReq = true
+		}
 	}
-	if bt, ok := b.batches[p.ID]; ok {
-		return bt
-	}
-	specs := make([]BatchCell, len(p.Cells))
-	for i, c := range p.Cells {
-		specs[i] = BatchCell{Graph: c.Graph, Algo: c.Algo, Params: c.Params}
-	}
-	bt := b.newBatch(p.TraceID, p.Tenant, time.Duration(p.TimeoutNS), p.Created, specs)
-	bt.id = p.ID
-	b.batches[p.ID] = bt
-	if n, err := strconv.ParseUint(p.ID[1:], 10, 64); err == nil && n > b.nextID {
-		b.nextID = n
-	}
-	return bt
-}
-
-// replayCell restores one terminal member; idempotent on duplicates.
-func replayCell(bt *batch, p cellPayload) {
-	if p.Index < 0 || p.Index >= len(bt.cells) || !p.State.Terminal() ||
-		!bt.settleLocked(p.Index, CellOutcome{State: p.State, CacheHit: p.CacheHit, Error: p.Err, Result: p.Result}) {
-		return
-	}
-	bt.cells[p.Index].jobID = p.JobID
-	if p.JobID != "" {
-		bt.submitted++
-	}
-	bt.eng.ledger.cellsRestored.Add(1)
-}
-
-// replayTerminal finishes a replayed batch without re-running finalize
-// bookkeeping (there are no pins to release on a batch that was already
-// terminal before boot).
-func replayTerminal(bt *batch, p terminalPayload) {
-	if bt.state.Terminal() {
-		return
-	}
-	bt.state = p.State
-	bt.finished = p.Finished
-	bt.stop()
-	close(bt.doneCh)
 }
 
 // resume re-pins the graphs an incomplete batch still needs and restarts its

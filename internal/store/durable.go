@@ -10,15 +10,18 @@ package store
 // revives it by mmapping the spill file, so recovery cost is O(names), not
 // O(bytes).
 //
-// Replay idempotence: put records overwrite any previous binding of the same
-// name (last write wins), delete records of unknown names are no-ops, and
-// records of unknown types are skipped, so a prefix interrupted anywhere
-// re-applies cleanly.
+// A snapshot is one put record per durable name, resident or spilled, so
+// Open replays the snapshot and the tail through one apply function. Replay
+// is idempotent: put records overwrite any previous binding of the same name
+// (last write wins), delete records of unknown names are no-ops, and records
+// of unknown types are skipped, so a prefix interrupted anywhere re-applies
+// cleanly.
 
 import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"slices"
 	"time"
 
 	"repro/internal/wal"
@@ -44,12 +47,6 @@ type deletePayload struct {
 	Name string `json:"name"`
 }
 
-// snapshotPayload is the full registry state: one entry per live name. A
-// snapshot with N entries replaces replaying the records that built them.
-type snapshotPayload struct {
-	Entries []putPayload `json:"entries"`
-}
-
 // Open is New plus durability: when cfg.WALDir is set it replays the
 // directory's log into the spilled index (graphs revive lazily from
 // cfg.SpillDir on first Acquire) and journals every subsequent Put and
@@ -71,34 +68,8 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s.wal = l
-	if rec.Snapshot != nil {
-		var snap snapshotPayload
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			l.Close()
-			return nil, fmt.Errorf("store: corrupt wal snapshot: %w", err)
-		}
-		for _, e := range snap.Entries {
-			s.applyPut(e)
-		}
-	}
-	for _, r := range rec.Records {
-		switch r.Type {
-		case recPut:
-			var p putPayload
-			if err := json.Unmarshal(r.Data, &p); err != nil {
-				continue // malformed but CRC-valid: skip, keep the rest
-			}
-			s.applyPut(p)
-		case recDelete:
-			var p deletePayload
-			if err := json.Unmarshal(r.Data, &p); err != nil {
-				continue
-			}
-			delete(s.spilled, p.Name)
-		default:
-			// A record from a newer store version: skipping is the
-			// compatibility contract.
-		}
+	for _, r := range slices.Concat(rec.Snapshot, rec.Records) {
+		s.apply(r)
 	}
 	if s.logger() != nil && (len(s.spilled) > 0 || rec.TornTail) {
 		s.logger().Info("wal_replay",
@@ -114,13 +85,25 @@ func Open(cfg Config) (*Store, error) {
 
 func (s *Store) logger() *slog.Logger { return s.cfg.Logger }
 
-// applyPut indexes one recovered binding as spilled. Last write wins so a
-// put record after a delete of the same name rebinds it.
-func (s *Store) applyPut(p putPayload) {
-	if ValidName(p.Name) != nil || p.FP == "" {
-		return
+// apply replays one record into the spilled index. A put indexes its
+// binding (last write wins, so a put after a delete of the same name
+// rebinds it), a delete unbinds, and a malformed but CRC-valid record or
+// one of an unknown type — from a newer store version — is skipped: that is
+// the compatibility contract.
+func (s *Store) apply(r wal.Record) {
+	switch r.Type {
+	case recPut:
+		var p putPayload
+		if json.Unmarshal(r.Data, &p) != nil || ValidName(p.Name) != nil || p.FP == "" {
+			return
+		}
+		s.spilled[p.Name] = spillRec{fp: p.FP, gen: p.Gen, n: p.Nodes, m: p.Edges, created: p.Created}
+	case recDelete:
+		var p deletePayload
+		if json.Unmarshal(r.Data, &p) == nil {
+			delete(s.spilled, p.Name)
+		}
 	}
-	s.spilled[p.Name] = spillRec{fp: p.FP, gen: p.Gen, n: p.Nodes, m: p.Edges, created: p.Created}
 }
 
 // journalPutLocked makes a new binding durable before it lands in memory:
@@ -139,14 +122,8 @@ func (s *Store) journalPutLocked(name string, pl *payload, gen string, created t
 		}
 		return nil
 	}
-	data, err := json.Marshal(putPayload{
-		Name: name, FP: pl.fp, Gen: gen,
-		Nodes: pl.g.N(), Edges: pl.g.M(), Created: created,
-	})
-	if err != nil {
-		return err
-	}
-	if err := s.wal.AppendSync(recPut, data); err != nil {
+	sp := spillRec{fp: pl.fp, gen: gen, n: pl.g.N(), m: pl.g.M(), created: created}
+	if err := s.wal.AppendSync(recPut, putData(name, sp)); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
 	// No snapshot here: the binding is not in the maps yet, and a snapshot
@@ -185,30 +162,33 @@ func (s *Store) maybeSnapshotLocked() {
 	}
 }
 
+// snapshotLocked compacts the log into one put record per durable name,
+// resident or spilled. Must be called with s.mu held.
 func (s *Store) snapshotLocked() error {
-	snap := snapshotPayload{Entries: make([]putPayload, 0, len(s.names)+len(s.spilled))}
+	records := make([]wal.Record, 0, len(s.names)+len(s.spilled))
 	for name, rec := range s.names {
 		// A resident name without a spill file (spill failed at Put) was
 		// never durable; keep it out of the snapshot too.
 		if err := s.spillFileLocked(rec.pl); err != nil {
 			continue
 		}
-		snap.Entries = append(snap.Entries, putPayload{
-			Name: name, FP: rec.pl.fp, Gen: rec.gen,
-			Nodes: rec.pl.g.N(), Edges: rec.pl.g.M(), Created: rec.created,
-		})
+		records = append(records, wal.Record{Type: recPut, Data: putData(name, rec.spillRec())})
 	}
 	for name, sp := range s.spilled {
-		snap.Entries = append(snap.Entries, putPayload{
-			Name: name, FP: sp.fp, Gen: sp.gen,
-			Nodes: sp.n, Edges: sp.m, Created: sp.created,
-		})
+		records = append(records, wal.Record{Type: recPut, Data: putData(name, sp)})
 	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	return s.wal.WriteSnapshot(data)
+	return s.wal.WriteSnapshot(records)
+}
+
+// putData renders the put record that binds name as sp describes. The
+// payload holds strings, integers and a wall-clock time, so it always
+// marshals.
+func putData(name string, sp spillRec) []byte {
+	data, _ := json.Marshal(putPayload{
+		Name: name, FP: sp.fp, Gen: sp.gen,
+		Nodes: sp.n, Edges: sp.m, Created: sp.created,
+	})
+	return data
 }
 
 // Close flushes a final snapshot (so the next Open replays one record-free

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/registry"
 	"repro/internal/rng"
+	"repro/internal/wal"
 )
 
 func durableCfg(t *testing.T) Config {
@@ -146,6 +147,37 @@ func TestClosedDurableStoreRefusesWrites(t *testing.T) {
 	}
 	if _, ok := st2.Get("late"); ok {
 		t.Fatal("refused Put survived reopen")
+	}
+}
+
+// TestRefusedJournalPutKeepsResidents: Put settles the room check and the
+// journal append before it evicts, so a put the journal refuses leaves the
+// resident names where they were.
+func TestRefusedJournalPutKeepsResidents(t *testing.T) {
+	cfg := durableCfg(t)
+	cfg.MaxGraphs = 1
+	var log *wal.Log
+	cfg.WALHooks = &wal.TestHooks{OnOpen: func(l *wal.Log) { log = l }}
+	st, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, _, err := st.Put("a", Source{Graph: graph.GNP(20, 0.3, rng.New(1))}); err != nil {
+		t.Fatal(err)
+	}
+	log.Kill()
+	if _, _, err := st.Put("b", Source{Graph: graph.GNP(20, 0.3, rng.New(2))}); !errors.Is(err, wal.ErrCrashed) {
+		t.Fatalf("Put on a killed journal: %v, want wal.ErrCrashed", err)
+	}
+	if st.Len() != 1 {
+		t.Fatalf("Len = %d after the refused put, want 1", st.Len())
+	}
+	if info, ok := st.Get("a"); !ok || info.Spilled {
+		t.Fatalf("a after the refused put: %+v, %t; want it resident", info, ok)
+	}
+	if _, ok := st.Get("b"); ok {
+		t.Fatal("refused put is visible")
 	}
 }
 

@@ -226,3 +226,25 @@ func TestSpillUploadedGraphKeepsWeights(t *testing.T) {
 		t.Fatal("revived uploaded graph lost content")
 	}
 }
+
+// TestSpillRePutWhenFullKeepsName: an idempotent re-put of a spilled name
+// that finds every resident name pinned fails with ErrFull and changes
+// nothing — the name stays spilled and answers Get, as a durable store's
+// journal, which still binds it, would have it after a restart.
+func TestSpillRePutWhenFullKeepsName(t *testing.T) {
+	s, _ := spillStore(t)
+	fillSpill(t, s)
+	for _, name := range []string{"g2", "g3"} {
+		_, release, err := s.Acquire(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+	}
+	if _, _, err := s.Put("g1", gnpSource(16, 1)); !errors.Is(err, ErrFull) {
+		t.Fatalf("re-put of a spilled name with every resident pinned: %v, want ErrFull", err)
+	}
+	if info, ok := s.Get("g1"); !ok || !info.Spilled {
+		t.Fatalf("after the refused re-put: %+v, %t; want g1 still spilled", info, ok)
+	}
+}

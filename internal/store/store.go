@@ -142,6 +142,11 @@ type spillRec struct {
 	created time.Time
 }
 
+// spillRec returns the index entry rec becomes when it is spilled.
+func (rec *record) spillRec() spillRec {
+	return spillRec{fp: rec.pl.fp, gen: rec.gen, n: rec.pl.g.N(), m: rec.pl.g.M(), created: rec.created}
+}
+
 // Store is the named graph registry. Create with New.
 type Store struct {
 	mu      sync.Mutex
@@ -236,32 +241,30 @@ func (s *Store) Put(name string, src Source) (Info, bool, error) {
 		rec.lastUsed = s.clock
 		return s.infoLocked(rec), true, nil
 	}
-	wasSpilled := false
-	if sp, ok := s.spilled[name]; ok {
-		if sp.fp != fp {
-			return Info{}, false, fmt.Errorf("%w: %s holds %s (spilled)", ErrExists, name, sp.fp)
-		}
-		// Idempotent re-put of a spilled name: the caller just handed us
-		// the resident bytes back, so un-spill with them. The binding is
-		// already journaled, so no new WAL record below.
-		delete(s.spilled, name)
-		wasSpilled = true
+	// Settle everything that can fail — the conflict, the room, the journal
+	// — before changing what the store holds: a refused Put changes nothing.
+	sp, wasSpilled := s.spilled[name]
+	if wasSpilled && sp.fp != fp {
+		return Info{}, false, fmt.Errorf("%w: %s holds %s (spilled)", ErrExists, name, sp.fp)
 	}
-	if err := s.makeRoomLocked(); err != nil {
+	victim, err := s.victimLocked()
+	if err != nil {
 		return Info{}, false, err
 	}
-	pl, dedup := s.byFP[fp]
-	if !dedup {
-		pl = &payload{g: g, fp: fp}
-	}
 	created := time.Now()
+	// An idempotent re-put of a spilled name hands the bytes back: it
+	// un-spills with them, and its binding is already journaled.
 	if !wasSpilled {
 		// Write-ahead: the binding is durable before it is visible.
-		if err := s.journalPutLocked(name, pl, gen, created); err != nil {
+		if err := s.journalPutLocked(name, &payload{g: g, fp: fp}, gen, created); err != nil {
 			return Info{}, false, err
 		}
 	}
+	s.evictLocked(victim)
+	delete(s.spilled, name)
+	pl, dedup := s.byFP[fp]
 	if !dedup {
+		pl = &payload{g: g, fp: fp}
 		s.byFP[fp] = pl
 	}
 	pl.refs++
@@ -297,12 +300,12 @@ func (src Source) Build() (*graph.Graph, string, error) {
 	}
 }
 
-// makeRoomLocked evicts the least-recently-used unpinned name when the store
-// is at capacity, spilling it to disk first when a SpillDir is configured.
-// Must be called with s.mu held.
-func (s *Store) makeRoomLocked() error {
+// victimLocked picks the name to evict when the store is at capacity: the
+// least-recently-used unpinned one. It returns nil when there is room, and
+// ErrFull when every name is pinned. Must be called with s.mu held.
+func (s *Store) victimLocked() (*record, error) {
 	if len(s.names) < s.cfg.MaxGraphs {
-		return nil
+		return nil, nil
 	}
 	var victim *record
 	for _, rec := range s.names {
@@ -314,24 +317,26 @@ func (s *Store) makeRoomLocked() error {
 		}
 	}
 	if victim == nil {
-		return ErrFull
+		return nil, ErrFull
+	}
+	return victim, nil
+}
+
+// evictLocked removes victim (nil: nothing to evict), spilling it to disk
+// first when a SpillDir is configured. Must be called with s.mu held.
+func (s *Store) evictLocked(victim *record) {
+	if victim == nil {
+		return
 	}
 	if s.cfg.SpillDir != "" {
 		// Best effort: a failed spill (disk full, permissions) degrades to
 		// the pre-spill behavior — plain eviction of a cache entry — rather
 		// than wedging every Put behind a broken directory.
 		if err := s.spillFileLocked(victim.pl); err == nil {
-			s.spilled[victim.name] = spillRec{
-				fp:      victim.pl.fp,
-				gen:     victim.gen,
-				n:       victim.pl.g.N(),
-				m:       victim.pl.g.M(),
-				created: victim.created,
-			}
+			s.spilled[victim.name] = victim.spillRec()
 		}
 	}
 	s.removeLocked(victim)
-	return nil
 }
 
 func (s *Store) spillPath(fp string) string {
@@ -373,9 +378,11 @@ func (s *Store) reviveLocked(name string, sp spillRec) (*record, error) {
 		s.mapped[sp.fp] = d.Graph
 		g = d.Graph
 	}
-	if err := s.makeRoomLocked(); err != nil {
+	victim, err := s.victimLocked()
+	if err != nil {
 		return nil, err
 	}
+	s.evictLocked(victim)
 	pl, dedup := s.byFP[sp.fp]
 	if !dedup {
 		pl = &payload{g: g, fp: sp.fp}

@@ -3,9 +3,12 @@ package wal_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/wal"
@@ -90,6 +93,102 @@ func FuzzWALReplay(f *testing.F) {
 			if rec3.Records[i].Type != rec1.Records[i].Type || !bytes.Equal(rec3.Records[i].Data, rec1.Records[i].Data) {
 				t.Fatalf("round-trip record %d differs", i)
 			}
+		}
+	})
+}
+
+// rewriteSnapshot writes records as the snapshot of a fresh log and returns
+// the snapshot file's bytes and what a replay of that directory recovers.
+func rewriteSnapshot(tb testing.TB, records []wal.Record) ([]byte, wal.Recovery) {
+	tb.Helper()
+	dir := tb.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := l.WriteSnapshot(records); err != nil {
+		tb.Fatalf("loaded snapshot does not write again: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "snap-00000002.snap"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l2, rec, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l2.Close()
+	return data, rec
+}
+
+// FuzzWALSnapshot writes arbitrary bytes as snap-00000001.snap beside a
+// valid segment and asserts what replay may do with them: never panic, and
+// either load the snapshot whole, ignore it as corrupt, or refuse a
+// retired-format (RWS1) snapshot with ErrOldSnapshot naming the file — the
+// segment's records replay the same either way. A loaded snapshot, written
+// again into a fresh directory, replays to the same records, and its file
+// holds exactly the bytes it was loaded from: the format is canonical.
+func FuzzWALSnapshot(f *testing.F) {
+	segDir := f.TempDir()
+	l, _, err := wal.Open(segDir, wal.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for typ := byte(1); typ <= 2; typ++ {
+		if err := l.AppendSync(typ, []byte(`{"name":"tail"}`)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(segDir, "wal-00000001.seg"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	tail := []string{`1:{"name":"tail"}`, `2:{"name":"tail"}`}
+
+	// Seeds beyond the committed corpus: what WriteSnapshot produces.
+	valid, _ := rewriteSnapshot(f, []wal.Record{{Type: 5, Data: []byte(`{"next":7}`)}, {Type: 1, Data: []byte(`{"id":"b000007"}`)}})
+	empty, _ := rewriteSnapshot(f, nil)
+	f.Add(valid)
+	f.Add(empty)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "snap-00000001.snap"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.HasPrefix(data, []byte("RWS1"))
+		l, rec, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			if !old || !errors.Is(err, wal.ErrOldSnapshot) || !strings.Contains(err.Error(), "snap-00000001.snap") {
+				t.Fatalf("Open over arbitrary snapshot bytes: %v", err)
+			}
+			return
+		}
+		l.Close()
+		if old {
+			t.Fatal("retired-format snapshot was not refused")
+		}
+		if got := payloads(rec.Records); !slices.Equal(got, tail) {
+			t.Fatalf("segment beside the snapshot replayed as %v, want %v", got, tail)
+		}
+		if rec.Snapshot == nil {
+			return // ignored as corrupt
+		}
+		again, rec2 := rewriteSnapshot(t, rec.Snapshot)
+		if !slices.Equal(payloads(rec2.Snapshot), payloads(rec.Snapshot)) {
+			t.Fatalf("rewritten snapshot replays as %v, want %v", payloads(rec2.Snapshot), payloads(rec.Snapshot))
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("loaded snapshot rewrites as %q, not the %q it was loaded from", again, data)
 		}
 	})
 }

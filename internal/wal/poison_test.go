@@ -39,7 +39,7 @@ func TestFlushErrorPoisonsLog(t *testing.T) {
 	if err := l.AppendSync(4, []byte("late")); !errors.Is(err, ErrFailed) {
 		t.Fatalf("AppendSync after write error: %v, want ErrFailed", err)
 	}
-	if err := l.WriteSnapshot([]byte("{}")); !errors.Is(err, ErrFailed) {
+	if err := l.WriteSnapshot([]Record{{Type: 1, Data: []byte("{}")}}); !errors.Is(err, ErrFailed) {
 		t.Fatalf("WriteSnapshot after write error: %v, want ErrFailed", err)
 	}
 }

@@ -52,7 +52,7 @@ func replayDir(dir string) (Recovery, uint64, error) {
 	})
 
 	var rec Recovery
-	var maxSeq uint64
+	var maxSeq, snapSeq uint64
 	if len(segs) > 0 {
 		maxSeq = segs[len(segs)-1]
 	}
@@ -60,16 +60,17 @@ func replayDir(dir string) (Recovery, uint64, error) {
 	// snapshot (crash between temp write and rename cannot produce one,
 	// but a disk can) falls back to the one before it, whose superseded
 	// segments are still present exactly because snapshot GC deletes them
-	// only after the newer snapshot is durable.
-	var snapSeq uint64
+	// only after the newer snapshot is durable. A retired-format snapshot
+	// fails the replay instead: the segments it superseded are gone.
 	for _, seq := range snaps {
-		payload, ok := readSnapshot(filepath.Join(dir, fmt.Sprintf("%s%08d%s", snapPrefix, seq, snapSuffix)))
-		if ok {
-			rec.Snapshot = payload
+		records, err := readSnapshot(snapPath(dir, seq))
+		if err != nil {
+			return Recovery{}, 0, err
+		}
+		if records != nil {
+			rec.Snapshot = records
 			snapSeq = seq
-			if seq > maxSeq {
-				maxSeq = seq
-			}
+			maxSeq = max(maxSeq, seq)
 			break
 		}
 	}
@@ -77,13 +78,13 @@ func replayDir(dir string) (Recovery, uint64, error) {
 		if seq < snapSeq {
 			continue // superseded by the snapshot
 		}
-		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix)))
+		data, err := os.ReadFile(segPath(dir, seq))
 		if err != nil {
 			return Recovery{}, 0, fmt.Errorf("wal: read segment %d: %w", seq, err)
 		}
 		rec.Segments++
-		records, torn := decodeSegment(data)
-		rec.Records = append(rec.Records, records...)
+		records, torn := decodeSegment(data, rec.Records)
+		rec.Records = records
 		if torn {
 			rec.TornTail = true
 		}
@@ -91,10 +92,10 @@ func replayDir(dir string) (Recovery, uint64, error) {
 	return rec, maxSeq, nil
 }
 
-// decodeSegment walks one segment's records, stopping at the first torn or
-// corrupt record and reporting whether it stopped early.
-func decodeSegment(data []byte) ([]Record, bool) {
-	var out []Record
+// decodeSegment appends the records of one segment (or snapshot body) to
+// out, stopping at the first torn or corrupt record and reporting whether it
+// stopped early. Each record's Data aliases data.
+func decodeSegment(data []byte, out []Record) ([]Record, bool) {
 	for len(data) > 0 {
 		if len(data) < headerBytes {
 			return out, true // partial header: torn tail
@@ -112,7 +113,7 @@ func decodeSegment(data []byte) ([]Record, bool) {
 		if crc32.Checksum(body, castagnoli) != want {
 			return out, true // bit rot or a torn rewrite: stop the prefix here
 		}
-		out = append(out, Record{Type: body[0], Data: slices.Clone(body[1:])})
+		out = append(out, Record{Type: body[0], Data: body[1:]})
 		data = data[end:]
 	}
 	return out, false

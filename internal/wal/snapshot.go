@@ -1,29 +1,42 @@
 package wal
 
-// Snapshots: a snapshot is the consumer's full state rendered as one opaque
-// payload, written with the temp-file + fsync + rename discipline so replay
-// sees either the complete snapshot or none of it. A snapshot with sequence
-// number S supersedes every record in segments numbered below S; those
-// segments are deleted once the rename is durable (and tolerated if a crash
-// leaves them behind — replay prefers the snapshot).
+// Snapshots: a snapshot is the records that rebuild the consumer's state,
+// laid out as [magic "RWS2"][count uint32 LE] followed by exactly count
+// records in the segment framing, and written temp-file + fsync + rename so
+// replay sees either all of it or none. A snapshot with sequence number S
+// supersedes every record in segments numbered below S; those segments are
+// deleted once the rename is durable (and tolerated if a crash leaves them
+// behind — replay prefers the snapshot).
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 )
 
-// snapMagic guards against loading a foreign file as a snapshot.
-var snapMagic = [4]byte{'R', 'W', 'S', '1'}
+const (
+	snapMagic       = "RWS2" // guards against loading a foreign file as a snapshot
+	oldSnapMagic    = "RWS1" // the retired single-payload snapshot format
+	snapHeaderBytes = 8      // magic + record count
+)
 
-// WriteSnapshot atomically persists payload as the log's new snapshot: the
+// ErrOldSnapshot refuses a log directory whose snapshot was written in the
+// retired RWS1 format: replaying the segments alone would silently drop the
+// state that snapshot held.
+var ErrOldSnapshot = errors.New("wal: snapshot in the retired RWS1 format")
+
+// WriteSnapshot atomically persists records as the log's new snapshot: the
 // active segment is sealed and a fresh one opened, the snapshot is written
 // beside it temp-file-first, and segments the snapshot supersedes are
 // removed. On success RecordsSinceSnapshot resets to zero.
-func (l *Log) WriteSnapshot(payload []byte) error {
-	if len(payload) > MaxRecordBytes {
-		return ErrTooLarge
+func (l *Log) WriteSnapshot(records []Record) error {
+	for _, r := range records {
+		if len(r.Data) > MaxRecordBytes-1 {
+			return ErrTooLarge
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -38,8 +51,8 @@ func (l *Log) WriteSnapshot(payload []byte) error {
 	}
 	seq := l.seq
 
-	tmp := l.snapPath(seq) + ".tmp"
-	if err := writeSnapshotFile(tmp, payload); err != nil {
+	tmp := snapPath(l.dir, seq) + ".tmp"
+	if err := writeSnapshotFile(tmp, records); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -49,7 +62,7 @@ func (l *Log) WriteSnapshot(payload []byte) error {
 	if l.crash(PointSnapPreRename) {
 		return ErrCrashed
 	}
-	if err := os.Rename(tmp, l.snapPath(seq)); err != nil {
+	if err := os.Rename(tmp, snapPath(l.dir, seq)); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: snapshot rename: %w", err)
 	}
@@ -68,28 +81,31 @@ func (l *Log) WriteSnapshot(payload []byte) error {
 		for _, e := range entries {
 			name := e.Name()
 			if s, ok := parseSeq(name, segPrefix, segSuffix); ok && s < seq {
-				os.Remove(l.segPath(s))
+				os.Remove(segPath(l.dir, s))
 			} else if s, ok := parseSeq(name, snapPrefix, snapSuffix); ok && s < seq {
-				os.Remove(l.snapPath(s))
+				os.Remove(snapPath(l.dir, s))
 			}
 		}
 	}
 	return nil
 }
 
-func writeSnapshotFile(path string, payload []byte) error {
+func writeSnapshotFile(path string, records []Record) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot temp: %w", err)
 	}
-	var hdr [12]byte
-	copy(hdr[0:4], snapMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, castagnoli))
-	if _, err := f.Write(hdr[:]); err == nil {
-		_, err = f.Write(payload)
+	// Stream each record's header and payload rather than assembling the
+	// snapshot in memory: the records are already the consumer's copy.
+	w := bufio.NewWriterSize(f, 64<<10)
+	var hdr [headerBytes]byte
+	w.WriteString(snapMagic)
+	w.Write(binary.LittleEndian.AppendUint32(hdr[:0], uint32(len(records))))
+	for _, r := range records {
+		w.Write(recordHeader(hdr[:0], r.Type, r.Data))
+		w.Write(r.Data)
 	}
-	if err != nil {
+	if err := w.Flush(); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: snapshot write: %w", err)
 	}
@@ -100,25 +116,26 @@ func writeSnapshotFile(path string, payload []byte) error {
 	return f.Close()
 }
 
-// readSnapshot loads and validates one snapshot file; ok is false for any
-// torn, truncated or corrupt content.
-func readSnapshot(path string) ([]byte, bool) {
+// readSnapshot loads and validates one snapshot file: nil for any torn,
+// truncated or corrupt content, empty but non-nil for a valid snapshot of no
+// records. The error is non-nil only for a snapshot in the retired RWS1
+// format.
+func readSnapshot(path string) ([]Record, error) {
 	data, err := os.ReadFile(path)
-	if err != nil || len(data) < 12 {
-		return nil, false
+	if err != nil {
+		return nil, nil
 	}
-	if [4]byte(data[0:4]) != snapMagic {
-		return nil, false
+	if bytes.HasPrefix(data, []byte(oldSnapMagic)) {
+		return nil, fmt.Errorf("%w: %s (the segments it superseded are gone)", ErrOldSnapshot, path)
 	}
-	length := binary.LittleEndian.Uint32(data[4:8])
-	if int(length) != len(data)-12 || length > MaxRecordBytes {
-		return nil, false
+	if len(data) < snapHeaderBytes || string(data[:4]) != snapMagic {
+		return nil, nil
 	}
-	payload := data[12:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[8:12]) {
-		return nil, false
+	records, torn := decodeSegment(data[snapHeaderBytes:], []Record{})
+	if torn || uint64(len(records)) != uint64(binary.LittleEndian.Uint32(data[4:8])) {
+		return nil, nil
 	}
-	return payload, true
+	return records, nil
 }
 
 // syncDir fsyncs a directory so a rename is durable; best effort on

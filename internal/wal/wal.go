@@ -16,11 +16,16 @@
 // stops a segment at the first record whose length is implausible or whose
 // CRC fails — a torn tail from a crash mid-write — then continues with the
 // next segment, because any later segment was written by a process that
-// itself recovered from exactly that prefix. A snapshot is written
-// temp-file + fsync + rename (the same discipline as graph.WriteDisk), so
-// it is either entirely present or entirely absent; replay loads the newest
-// valid snapshot and replays only the segments at or after its sequence
-// number.
+// itself recovered from exactly that prefix. A snapshot is the records that
+// rebuild the consumer's state, framed like a segment behind the magic
+// "RWS2" and a record count; it is valid only if exactly those records
+// decode, and MaxRecordBytes bounds each record, not the snapshot. It is
+// written temp-file + fsync + rename (the same discipline as
+// graph.WriteDisk), so it is either entirely present or entirely absent;
+// replay loads the newest valid snapshot and replays only the segments at
+// or after its sequence number. Open refuses a snapshot in the retired
+// single-payload format (magic "RWS1") with ErrOldSnapshot, naming the
+// file: the segments it superseded are gone.
 //
 // Layer (DESIGN.md §2, §8): wal sits at the bottom, beside internal/graph;
 // it is imported by internal/store (graph registrations) and
@@ -128,10 +133,10 @@ var (
 	ErrTooLarge = errors.New("wal: record exceeds MaxRecordBytes")
 )
 
-// MaxRecordBytes bounds one record's type+payload length. Replay treats any
-// length field beyond it as a torn/corrupt tail, so the bound doubles as
-// the plausibility check that keeps a flipped length byte from allocating
-// gigabytes.
+// MaxRecordBytes bounds one record's type+payload length, in a segment and
+// in a snapshot alike. Replay treats any length field beyond it as a
+// torn/corrupt tail, so the bound doubles as the plausibility check that
+// keeps a flipped length byte from allocating gigabytes.
 const MaxRecordBytes = 64 << 20
 
 const (
@@ -163,11 +168,13 @@ type Record struct {
 }
 
 // Recovery is what Open found on disk: the newest valid snapshot (nil if
-// none) and every valid record appended after it, in order.
+// none) and every valid record appended after it, in order. A consumer
+// replays Snapshot then Records through one apply function: a snapshot is
+// the records that rebuild the state it captured.
 type Recovery struct {
-	// Snapshot is the newest valid snapshot payload, nil when the log has
-	// none.
-	Snapshot []byte
+	// Snapshot holds the records of the newest valid snapshot, nil when the
+	// log has none (empty but non-nil for a snapshot of no records).
+	Snapshot []Record
 	// Records are the records after the snapshot, in append order, ending
 	// at the first torn/corrupt record of the final relevant segment.
 	Records []Record
@@ -266,7 +273,7 @@ func (l *Log) crash(point string) bool {
 // openSegmentLocked creates segment seq and makes it active. Must be called
 // with l.mu held (or before the log escapes Open).
 func (l *Log) openSegmentLocked(seq uint64) error {
-	f, err := os.OpenFile(l.segPath(seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(segPath(l.dir, seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
@@ -280,24 +287,29 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 	return nil
 }
 
-func (l *Log) segPath(seq uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
+func segPath(dir string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
 }
 
-func (l *Log) snapPath(seq uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s%08d%s", snapPrefix, seq, snapSuffix))
+func snapPath(dir string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", snapPrefix, seq, snapSuffix))
 }
 
 // encodeRecord appends the wire encoding of (typ, payload) to dst.
 func encodeRecord(dst []byte, typ byte, payload []byte) []byte {
+	return append(recordHeader(dst, typ, payload), payload...)
+}
+
+// recordHeader appends the header of record (typ, payload) to dst: its
+// encoding up to, not including, the payload.
+func recordHeader(dst []byte, typ byte, payload []byte) []byte {
 	var hdr [headerBytes]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+len(payload)))
 	crc := crc32.Update(0, castagnoli, []byte{typ})
 	crc = crc32.Update(crc, castagnoli, payload)
 	binary.LittleEndian.PutUint32(hdr[4:8], crc)
 	hdr[8] = typ
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return append(dst, hdr[:]...)
 }
 
 // Append buffers one record. The record is durable against SIGKILL once a

@@ -1,10 +1,13 @@
 package wal_test
 
 import (
-	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/wal"
@@ -156,7 +159,7 @@ func TestSnapshotSupersedesSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.WriteSnapshot([]byte("state-after-3")); err != nil {
+	if err := l.WriteSnapshot([]wal.Record{{Type: 1, Data: []byte("state-after-3")}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.RecordsSinceSnapshot(); got != 0 {
@@ -168,8 +171,8 @@ func TestSnapshotSupersedesSegments(t *testing.T) {
 	l.Close()
 
 	_, rec := openT(t, dir, wal.Options{})
-	if !bytes.Equal(rec.Snapshot, []byte("state-after-3")) {
-		t.Fatalf("snapshot = %q", rec.Snapshot)
+	if got := payloads(rec.Snapshot); len(got) != 1 || got[0] != "1:state-after-3" {
+		t.Fatalf("snapshot = %v", got)
 	}
 	if len(rec.Records) != 1 || string(rec.Records[0].Data) != "post-0" {
 		t.Fatalf("post-snapshot records = %v", payloads(rec.Records))
@@ -289,5 +292,69 @@ func TestOpenRemovesStaleSnapshotTemp(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("stale snapshot temp survived Open (stat err = %v)", err)
+	}
+}
+
+// TestSnapshotBeyondMaxRecordBytes: MaxRecordBytes bounds each record, not
+// the snapshot, so a snapshot whose records together exceed it is written
+// and replays intact. Both records share one buffer, dropped before the
+// replay, to keep the test's memory near the 64 MiB the replay reads.
+func TestSnapshotBeyondMaxRecordBytes(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, wal.Options{})
+	big := make([]byte, wal.MaxRecordBytes/2+1)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	want := crc32.ChecksumIEEE(big)
+	if err := l.WriteSnapshot([]wal.Record{{Type: 1, Data: big}, {Type: 2, Data: big}}); err != nil {
+		t.Fatalf("snapshot of two %d-byte records: %v", len(big), err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	size := len(big)
+	big = nil
+
+	_, rec := openT(t, dir, wal.Options{})
+	if len(rec.Snapshot) != 2 {
+		t.Fatalf("replayed %d snapshot records, want 2", len(rec.Snapshot))
+	}
+	for i, r := range rec.Snapshot {
+		if r.Type != byte(i+1) || len(r.Data) != size || crc32.ChecksumIEEE(r.Data) != want {
+			t.Fatalf("snapshot record %d: type %d, %d bytes; want type %d, the %d bytes written", i, r.Type, len(r.Data), i+1, size)
+		}
+	}
+}
+
+// TestOpenRefusesOldFormatSnapshot: a snapshot in the retired RWS1 format
+// (one JSON payload behind a length and a CRC) cannot be decoded, and the
+// segments it superseded are gone, so Open must fail naming the file rather
+// than replay the tail alone.
+func TestOpenRefusesOldFormatSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, wal.Options{})
+	if err := l.AppendSync(1, []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(`{"entries":[{"name":"g","fp":"0123abcd","n":3,"m":2,"created":"2026-01-02T03:04:05Z"}]}`)
+	old := make([]byte, 12, 12+len(payload))
+	copy(old, "RWS1")
+	binary.LittleEndian.PutUint32(old[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(old[8:12], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	path := filepath.Join(dir, "snap-00000001.snap")
+	if err := os.WriteFile(path, append(old, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, rec, err := wal.Open(dir, wal.Options{})
+	if !errors.Is(err, wal.ErrOldSnapshot) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open over an RWS1 snapshot: err = %v, want wal.ErrOldSnapshot naming %s", err, path)
+	}
+	if l2 != nil || len(rec.Records) != 0 {
+		t.Fatalf("Open over an RWS1 snapshot replayed %v", payloads(rec.Records))
 	}
 }
