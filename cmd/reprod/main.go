@@ -14,6 +14,9 @@
 //	PUT    /v1/graphs/{name}   register a named graph (upload or generator spec)
 //	GET    /v1/graphs[/{name}] list or inspect named graphs
 //	DELETE /v1/graphs/{name}   delete a named graph (409 while a batch pins it)
+//	POST   /v1/jobgroups       submit a job group (one algorithm × seeds on a stored graph)
+//	GET    /v1/jobgroups/{id}  poll a job group; ?wait=5s long-polls until terminal
+//	DELETE /v1/jobgroups/{id}  cancel a job group
 //	POST   /v1/batches         submit a batch (stored graphs × parameter grid)
 //	GET    /v1/batches/{id}    poll a batch; ?wait=5s long-polls until terminal
 //	DELETE /v1/batches/{id}    cancel a batch (fans out to member jobs)
@@ -41,7 +44,7 @@
 // cells across the named reprod workers (internal/cluster): graphs are
 // consistent-hashed onto workers by fingerprint and uploaded once each in
 // the compact binary codec, same-parameter cells ride together as job
-// groups of -groupsize seeds (one lookup, one submit, one poll stream per
+// groups of -groupsize seeds (one lookup, one submit and one long-poll per
 // group), groups retry on worker failure by re-placing onto the next
 // healthy worker, and GET /v1/cluster reports fleet health and placement.
 // Single-job endpoints are not served in coordinator mode.
@@ -148,7 +151,7 @@ func main() {
 	fleet := flag.String("workers", "", "comma-separated reprod worker base URLs; enables cluster-coordinator mode")
 	window := flag.Int("window", 4, "coordinator mode: in-flight job groups per worker")
 	probe := flag.Duration("probe", 5*time.Second, "coordinator mode: worker health-probe interval (0 disables)")
-	poll := flag.Duration("poll", 20*time.Millisecond, "coordinator mode: job poll interval against workers")
+	poll := flag.Duration("poll", 20*time.Millisecond, "coordinator mode: least time between two long-polls of one job group, and the first queue_full back-off")
 	logFormat := flag.String("log", "text", "structured log format: text or json")
 	groupSize := flag.Int("groupsize", 16, "coordinator mode: max seeds per dispatched job group")
 	keysFile := flag.String("keys", "", "per-tenant API key file; enables multi-tenant mode (auth, rate limits, fair-share admission); SIGHUP reloads it")

@@ -93,7 +93,7 @@ func isQueueFull(err error) bool {
 
 // dgroup is one grouped dispatch unit: up to Config.GroupSize cells sharing
 // a graph and a seed-independent parameter point, shipped to a worker as a
-// single job group (one graph lookup, one submit, one poll stream).
+// single job group (one graph lookup, one submit, one long-poll per wait).
 type dgroup struct {
 	idxs      []int    // batch cell indices, in expansion order
 	seeds     []uint64 // aligned with idxs
@@ -195,11 +195,11 @@ func (c *Coordinator) runGroup(r *service.BatchRun, pg *pinnedGraph, dg *dgroup)
 
 // runGroupOnWorker executes one group attempt on w: acquire one window slot
 // for the whole group, ensure the graph is uploaded (binary codec), submit
-// the job group, poll to terminal over the negotiated binary rendering. A
-// non-nil error means the worker failed; application outcomes — including
-// per-cell failures and cache hits — come back one per seed. A batch cancel
-// returns canceled outcomes with a nil error after best-effort canceling the
-// worker-side group.
+// the job group, long-poll it to terminal over the negotiated binary
+// rendering. A non-nil error means the worker failed; application outcomes
+// — including per-cell failures and cache hits — come back one per seed. A
+// batch cancel returns canceled outcomes with a nil error after best-effort
+// canceling the worker-side group.
 func (c *Coordinator) runGroupOnWorker(r *service.BatchRun, dg *dgroup, w *worker, pg *pinnedGraph, gtrace string) ([]service.CellOutcome, error) {
 	ctx := r.Context()
 	w.mu.Lock()
@@ -306,25 +306,42 @@ func (c *Coordinator) runGroupOnWorker(r *service.BatchRun, dg *dgroup, w *worke
 		"batch", r.ID, "trace", gtrace, "worker", w.url, "group", gr.ID,
 		"cells", len(dg.idxs))
 
+	// A batch cancel cancels the worker-side group best-effort, on a fresh
+	// context — the batch context is already dead; the HTTP client timeout
+	// still bounds it.
+	canceled := func() ([]service.CellOutcome, error) {
+		_, _ = w.client.CancelJobGroup(context.Background(), gr.ID)
+		return canceledOutcomes(dg), nil
+	}
+	// Long-poll the group to terminal: each GET parks on the worker until
+	// the group finishes or groupWait elapses, and a batch cancel aborts it
+	// through ctx.
+	var pace time.Duration
 	for !gr.Terminal() {
-		select {
-		case <-ctx.Done():
-			// Best-effort worker-side cancel on a fresh context — the batch
-			// context is already dead; the HTTP client timeout still bounds it.
-			_, _ = w.client.CancelJobGroup(context.Background(), gr.ID)
-			return canceledOutcomes(dg), nil
-		case <-time.After(c.cfg.PollInterval):
-		}
-		gv, err := w.client.GetJobGroup(ctx, gr.ID)
-		if err != nil {
-			if ctx.Err() != nil {
-				_, _ = w.client.CancelJobGroup(context.Background(), gr.ID)
-				return canceledOutcomes(dg), nil
+		if pace > 0 {
+			select {
+			case <-ctx.Done():
+				return canceled()
+			case <-time.After(pace):
 			}
+		}
+		polled := time.Now()
+		gv, err := w.client.GetJobGroup(ctx, gr.ID, c.groupWait)
+		if ctx.Err() != nil {
+			return canceled()
+		}
+		if err != nil {
 			return nil, err
 		}
 		c.wireBytes.Add(uint64(gv.WireBytes))
 		gr = gv
+		// An unfinished answer that came back before its wait was up (a
+		// full waiter gate answers at once) is paced: one group is polled
+		// at most once per PollInterval.
+		pace = 0
+		if took := time.Since(polled); took < c.groupWait {
+			pace = c.cfg.PollInterval - took
+		}
 	}
 	if len(gr.Cells) != len(dg.idxs) {
 		// A shape mismatch is version skew, deterministic on any worker.

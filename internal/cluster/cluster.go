@@ -5,12 +5,14 @@
 // registry.Fingerprint (one owner per graph, uploaded once per worker per
 // name, in the compact binary codec), packs cells that differ only in seed
 // into job groups of up to Config.GroupSize (amortizing graph lookup,
-// submit, and poll round trips over the whole group — the cluster fast
+// submit and result round trips over the whole group — the cluster fast
 // path), dispatches each group to the owning worker over
 // internal/httpapi.Client with a bounded in-flight window per worker,
-// retries groups on worker failure by re-placing onto the next healthy
-// worker along the ring, and reports per-cell results into a batch view
-// that is indistinguishable from a single-node run.
+// long-polls it to terminal (GET /v1/jobgroups/{id}?wait=, right after the
+// submit, so no fixed delay sits on the dispatch path), retries groups on
+// worker failure by re-placing onto the next healthy worker along the ring,
+// and reports per-cell results into a batch view that is indistinguishable
+// from a single-node run.
 //
 // The batch lifecycle is the single-node engine's: the coordinator is a
 // service.Executor behind a service.Batches (see batch.go), which owns
@@ -64,10 +66,11 @@ type Config struct {
 	Workers []string
 	// Window bounds in-flight job groups per worker (default 4).
 	Window int
-	// PollInterval paces job polling against workers (default 20ms — cells
-	// take tens to hundreds of ms, so tighter polling buys little latency
-	// and costs the fleet an HTTP round trip per tick; in-process tests set
-	// it lower).
+	// PollInterval (default 20ms) is the least time between two polls of
+	// one job group — it paces only the unfinished answers that come back
+	// before their long-poll wait, such as one a full waiter gate degraded —
+	// and the first back-off after a worker answers queue_full. A group's
+	// first long-poll goes out right after its submit.
 	PollInterval time.Duration
 	// ProbeInterval enables background /healthz probing that revives downed
 	// workers (0 = probe only via explicit Probe calls).
@@ -107,6 +110,9 @@ type Config struct {
 // defaultRequestTimeout bounds every worker round trip of the default
 // worker client.
 const defaultRequestTimeout = 15 * time.Second
+
+// maxGroupWait caps the server-side wait of one job-group long-poll.
+const maxGroupWait = 5 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
@@ -174,6 +180,11 @@ type Coordinator struct {
 	st      *store.Store
 	workers []*worker
 	ring    []ringPoint // sorted by hash
+	// groupWait is the ?wait= of every job-group long-poll: half the worker
+	// client's Timeout, at most maxGroupWait, so a healthy worker answers
+	// well inside the timeout and a hung one still surfaces as a client
+	// timeout.
+	groupWait time.Duration
 
 	b *service.Batches
 
@@ -212,7 +223,10 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: graph store: %w", err)
 	}
-	c := &Coordinator{cfg: cfg, log: logger, st: st}
+	c := &Coordinator{cfg: cfg, log: logger, st: st, groupWait: maxGroupWait}
+	if hc.Timeout > 0 {
+		c.groupWait = min(hc.Timeout/2, maxGroupWait)
+	}
 	c.b = service.NewBatchesWith(dispatcher{c}, st, service.BatchConfig{
 		MaxCells: cfg.MaxCells, MaxBatches: cfg.MaxBatches, Logger: logger,
 	})

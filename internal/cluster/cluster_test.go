@@ -293,6 +293,37 @@ func TestSlowWorkerNeedsNoRetry(t *testing.T) {
 	}
 }
 
+// TestGroupsLongPollToCompletion: a group's first long-poll goes out right
+// after its submit and answers once the group is done, so no group waits
+// out PollInterval. With the interval at a minute, a batch of eight groups
+// must still finish in seconds; groups of two cells against a window of two
+// stay clear of the workers' queue bound, whose back-off is PollInterval too.
+func TestGroupsLongPollToCompletion(t *testing.T) {
+	coord, _ := newFleet(t, 2, func(cfg *Config) {
+		cfg.PollInterval = time.Minute
+		cfg.GroupSize = 2
+	})
+	putGen(t, coord, "lp-a", gnpSource(24, 0.2, 51, 32))
+	putGen(t, coord, "lp-b", gnpSource(28, 0.2, 52, 32))
+	v, err := coord.Batches().Submit(service.BatchSpec{
+		Graphs: []string{"lp-a", "lp-b"},
+		Algos:  []string{"maxis", "mwm2"},
+		Seeds:  []uint64{1, 2, 3, 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	fin, ok := coord.Batches().Wait(v.ID, 10*time.Second)
+	if !ok || fin.State != service.BatchDone || fin.Done != fin.Total {
+		t.Fatalf("after %v the batch is %s with %d of %d cells done; want done: a group waited out PollInterval",
+			time.Since(start).Round(time.Millisecond), fin.State, fin.Done, fin.Total)
+	}
+	if g := coord.groupsDispatched.Load(); g != 8 {
+		t.Fatalf("%d groups dispatched, want 8", g)
+	}
+}
+
 // TestCancelReleasesPinsAndStops: canceling a cluster batch fans out to
 // in-flight worker jobs, marks undispatched cells canceled, and releases
 // every graph pin.

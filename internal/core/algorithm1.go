@@ -114,6 +114,9 @@ func SequentialLocalRatio(g *graph.Graph, pick PickIS) []bool {
 		alive[v] = w[v] > 0
 	}
 	var stack []int // candidates in order of removal; unwound in reverse
+	// inU marks the nodes of this round's U already checked, so that U's
+	// independence costs O(Σ deg) instead of O(|U|²) edge lookups.
+	inU := make([]bool, n)
 	liveCount := 0
 	for _, a := range alive {
 		if a {
@@ -127,15 +130,22 @@ func SequentialLocalRatio(g *graph.Graph, pick PickIS) []bool {
 		}
 		// Validate independence and liveness; a broken selection rule must
 		// fail loudly rather than silently void the approximation proof.
-		for i, a := range u {
+		for _, a := range u {
 			if !alive[a] {
 				panic(fmt.Sprintf("core: PickIS selected dead node %d", a))
 			}
-			for _, b := range u[i+1:] {
-				if g.HasEdge(a, b) {
-					panic(fmt.Sprintf("core: PickIS selected adjacent nodes %d and %d", a, b))
+			if inU[a] {
+				panic(fmt.Sprintf("core: PickIS selected node %d twice", a))
+			}
+			for _, b := range g.Neighbors(a) {
+				if inU[b] {
+					panic(fmt.Sprintf("core: PickIS selected adjacent nodes %d and %d", b, a))
 				}
 			}
+			inU[a] = true
+		}
+		for _, a := range u {
+			inU[a] = false
 		}
 		// Simultaneous closed-neighborhood reductions.
 		for _, a := range u {

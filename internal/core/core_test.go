@@ -80,6 +80,52 @@ func TestSequentialLocalRatioOnStar(t *testing.T) {
 	}
 }
 
+// TestSequentialLocalRatioRejectsBrokenPicks: a selection rule that breaks
+// the PickIS contract must panic, not silently void the approximation proof.
+// The path 0-1-2 weighs 1, 5, 1, so the greedy first round ({0, 2}) leaves
+// node 1 alive for a second round.
+func TestSequentialLocalRatioRejectsBrokenPicks(t *testing.T) {
+	g := graph.Path(3)
+	g.SetNodeWeight(1, 5)
+	fixed := func(u ...int) PickIS {
+		return func(*graph.Graph, []bool, []int64) []int { return u }
+	}
+	// secondRound picks greedily once, then returns u.
+	secondRound := func(u ...int) PickIS {
+		calls := 0
+		return func(g *graph.Graph, alive []bool, w []int64) []int {
+			if calls++; calls == 1 {
+				return GreedyPick(g, alive, w)
+			}
+			return u
+		}
+	}
+	cases := []struct {
+		name string
+		pick PickIS
+		want string
+	}{
+		{"adjacent", fixed(0, 1), "core: PickIS selected adjacent nodes 0 and 1"},
+		{"adjacent, larger first", fixed(2, 1), "core: PickIS selected adjacent nodes 2 and 1"},
+		{"dead", secondRound(0), "core: PickIS selected dead node 0"},
+		{"twice", fixed(0, 2, 0), "core: PickIS selected node 0 twice"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("panic %v, want %q", got, tc.want)
+				}
+			}()
+			SequentialLocalRatio(g, tc.pick)
+		})
+	}
+	// The same instance with a sound rule runs through both rounds.
+	if in := SequentialLocalRatio(g, secondRound(1)); !in[1] {
+		t.Fatalf("second-round pick of node 1 not in the result %v", in)
+	}
+}
+
 func TestNaiveSimultaneousFailsOnStar(t *testing.T) {
 	// The motivating failure: naive simultaneous reduction selects nothing.
 	g := graph.Star(5)

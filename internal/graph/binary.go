@@ -51,6 +51,14 @@ func EncodeBinary(w io.Writer, g *Graph) error {
 	return err
 }
 
+// binaryReaders recycles DecodeBinary's 64 KiB read buffers, since a fresh
+// one per call cost more than a small upload's whole graph. It is a leaky
+// free list, not a sync.Pool, so a decode finds a reader whenever one is
+// idle (a sync.Pool misses across Ps and, under -race, drops items at
+// random); it keeps at most 8 idle readers (512 KiB), and more concurrent
+// uploads than that allocate their own.
+var binaryReaders = make(chan *bufio.Reader, 8)
+
 // DecodeBinary parses the format written by EncodeBinary directly from r,
 // without ever holding the raw stream in memory, so a large upload costs
 // one Builder, not body + Builder. The declared sizes are checked against
@@ -59,7 +67,20 @@ func EncodeBinary(w io.Writer, g *Graph) error {
 // the last edge are rejected, so every accepted stream has exactly one
 // canonical re-encoding.
 func DecodeBinary(r io.Reader, opts ReadOptions) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+	var br *bufio.Reader
+	select {
+	case br = <-binaryReaders:
+		br.Reset(r)
+	default:
+		br = bufio.NewReaderSize(r, 64<<10)
+	}
+	defer func() {
+		br.Reset(nil) // an idle reader never holds on to a request body
+		select {
+		case binaryReaders <- br:
+		default:
+		}
+	}()
 	magic := make([]byte, len(binaryMagic))
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != binaryMagic {
 		return nil, fmt.Errorf("graph: binary: bad magic (want %q)", binaryMagic)

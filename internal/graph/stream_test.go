@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/rng"
 )
 
@@ -267,6 +268,37 @@ func TestDecodeBinaryAllocatesWhatItReads(t *testing.T) {
 		_, err := DecodeBinary(bytes.NewReader(body), uploadCaps)
 		return err
 	}, header(1<<20, 1<<22), header(1, 0))
+}
+
+// TestDecodeBinaryReusesItsReader: the 64 KiB read buffer is recycled, so
+// once one is idle a small upload (128 nodes, 512 edges, a 2 KB body)
+// allocates about its graph alone, not a fresh buffer on top.
+func TestDecodeBinaryReusesItsReader(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	const n = 128
+	nodeW := make([]int64, n)
+	var edges [][3]int64
+	for v := range nodeW {
+		nodeW[v] = int64(1 + v*37%200)
+		for k := 1; k <= 4; k++ {
+			edges = append(edges, [3]int64{int64(v), int64((v + 3*k) % n), int64(1 + (v+k)*53%300)})
+		}
+	}
+	var body bytes.Buffer
+	if err := EncodeBinary(&body, buildWeighted(t, nodeW, edges)); err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		if _, err := DecodeBinary(bytes.NewReader(body.Bytes()), uploadCaps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode() // warm the pool
+	if got := allocBytes(decode); got >= 48<<10 {
+		t.Fatalf("decoding a %d-byte body allocated %d bytes, want under %d", body.Len(), got, 48<<10)
+	}
 }
 
 func TestReadMatrixMarketAllocatesWhatItReads(t *testing.T) {

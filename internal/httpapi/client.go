@@ -247,9 +247,10 @@ func (c *Client) SubmitJobGroup(ctx context.Context, req JobGroupRequest) (JobGr
 }
 
 // GetJobGroup polls one job group in the compact binary rendering (RJG1);
-// WireBytes reports the body size.
-func (c *Client) GetJobGroup(ctx context.Context, id string) (JobGroupResponse, error) {
-	resp, err := c.send(ctx, http.MethodGet, "/v1/jobgroups/"+url.PathEscape(id), nil,
+// wait > 0 long-polls server-side until the group is terminal or wait has
+// elapsed. WireBytes reports the body size.
+func (c *Client) GetJobGroup(ctx context.Context, id string, wait time.Duration) (JobGroupResponse, error) {
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobgroups/"+url.PathEscape(id)+waitQuery(wait), nil,
 		"Accept", GroupBinaryContentType)
 	if err != nil {
 		return JobGroupResponse{}, err
@@ -284,13 +285,17 @@ func (c *Client) SubmitBatch(ctx context.Context, req BatchRequest) (BatchRespon
 // GetBatch polls a batch; wait > 0 long-polls server-side until the batch
 // is terminal or wait has elapsed.
 func (c *Client) GetBatch(ctx context.Context, id string, wait time.Duration) (BatchResponse, error) {
-	path := "/v1/batches/" + url.PathEscape(id)
-	if wait > 0 {
-		path += "?wait=" + url.QueryEscape(wait.String())
-	}
 	var out BatchResponse
-	err := c.do(ctx, http.MethodGet, path, nil, &out)
+	err := c.do(ctx, http.MethodGet, "/v1/batches/"+url.PathEscape(id)+waitQuery(wait), nil, &out)
 	return out, err
+}
+
+// waitQuery renders a long-poll wait as a ?wait= query, "" for none.
+func waitQuery(wait time.Duration) string {
+	if wait <= 0 {
+		return ""
+	}
+	return "?wait=" + url.QueryEscape(wait.String())
 }
 
 // CancelBatch cancels a running batch.

@@ -15,7 +15,8 @@ import (
 // (DESIGN.md §6a): POST /v1/jobgroups runs one algorithm over N seeds
 // against a single stored-graph lookup, and GET /v1/jobgroups/{id}
 // content-negotiates between JSON and the compact binary result stream in
-// bincodec.go (Accept: application/x-repro-jobgroup). The seeds run as
+// bincodec.go (Accept: application/x-repro-jobgroup) and, with ?wait=,
+// long-polls until the group is terminal. The seeds run as
 // member jobs behind the same fair queue as POST /v1/jobs, so a group the
 // tenant's queue cannot take answers 503 queue_full. The cluster
 // coordinator is the primary client; curl with JSON works the same way.
@@ -84,18 +85,25 @@ func registerGroupRoutes(mux *http.ServeMux, cfg *handlerConfig, svc *service.Se
 	mux.HandleFunc("POST /v1/jobgroups", func(w http.ResponseWriter, r *http.Request) {
 		handleSubmitGroup(cfg, svc, st, w, r)
 	})
-	mux.HandleFunc("GET /v1/jobgroups/{id}", func(w http.ResponseWriter, r *http.Request) {
-		v, ok := svc.GetGroup(r.PathValue("id"))
-		if !ok || !cfg.owns(r, v.Tenant) {
-			writeError(w, service.ErrGroupNotFound)
-			return
-		}
-		writeGroup(w, r, http.StatusOK, toGroupResponse(v))
-	})
 	groupTenant := func(id string) (string, bool) {
 		v, ok := svc.GetGroup(id)
 		return v.Tenant, ok
 	}
+	// ?wait= long-polls as GET /v1/batches/{id} does: the answer comes once
+	// the group is terminal, the wait has elapsed or the client has gone.
+	mux.HandleFunc("GET /v1/jobgroups/{id}", cfg.guard(groupTenant, service.ErrGroupNotFound, func(w http.ResponseWriter, r *http.Request) {
+		wait, release, ok := cfg.longPoll(w, r)
+		if !ok {
+			return
+		}
+		defer release()
+		v, ok := svc.WaitGroup(r.Context(), r.PathValue("id"), wait)
+		if !ok {
+			writeError(w, service.ErrGroupNotFound)
+			return
+		}
+		writeGroup(w, r, http.StatusOK, toGroupResponse(v))
+	}))
 	mux.HandleFunc("DELETE /v1/jobgroups/{id}", cfg.guard(groupTenant, service.ErrGroupNotFound, func(w http.ResponseWriter, r *http.Request) {
 		v, err := svc.CancelGroup(r.PathValue("id"))
 		if err != nil {

@@ -15,22 +15,22 @@ import (
 	"repro"
 	"repro/internal/graph"
 	"repro/internal/service"
+	"repro/internal/tenant"
 )
 
-// pollGroup polls GET /v1/jobgroups/{id} through the client (which negotiates
-// the binary rendering) until the group is terminal.
+// pollGroup long-polls GET /v1/jobgroups/{id} through the client (which
+// negotiates the binary rendering) until the group is terminal.
 func pollGroup(t *testing.T, c *Client, id string) JobGroupResponse {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		gv, err := c.GetJobGroup(context.Background(), id)
+		gv, err := c.GetJobGroup(context.Background(), id, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gv.Terminal() {
 			return gv
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("group %s never finished", id)
 	return JobGroupResponse{}
@@ -101,7 +101,7 @@ func TestJobGroupLifecycleHTTP(t *testing.T) {
 	}
 
 	// Error surface: unknown id and canceling a finished group.
-	_, err = c.GetJobGroup(ctx, "nope")
+	_, err = c.GetJobGroup(ctx, "nope", 0)
 	wantStatus(t, err, http.StatusNotFound)
 	_, err = c.CancelJobGroup(ctx, sub.ID)
 	wantStatus(t, err, http.StatusConflict)
@@ -149,6 +149,104 @@ func TestJobGroupCancelHTTP(t *testing.T) {
 	release()
 	if bv := pollGroup(t, c, blocker.ID); bv.State != "done" {
 		t.Fatalf("blocker group state %s, want done", bv.State)
+	}
+}
+
+// TestJobGroupLongPollHTTP: GET /v1/jobgroups/{id}?wait= parks until the
+// group finishes and answers well before the wait runs out; a malformed
+// wait is a 400.
+func TestJobGroupLongPollHTTP(t *testing.T) {
+	ts, _, _ := newFullServer(t, service.Config{Workers: 1}, service.BatchConfig{})
+	started, release := registerBlocker(t, "park-longpoll")
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	if _, err := c.PutGraphGen(ctx, "gg", GenRequest{Gen: "gnp", N: 16, P: 0.2, Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c.SubmitJobGroup(ctx, JobGroupRequest{Algo: "park-longpoll", GraphName: "gg", Seeds: []uint64{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	if resp, env := doRaw(t, http.MethodGet, ts.URL+"/v1/jobgroups/"+sub.ID+"?wait=bogus", "", ""); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("?wait=bogus: status %d, envelope %v", resp.StatusCode, env)
+	}
+
+	time.AfterFunc(100*time.Millisecond, release)
+	start := time.Now()
+	gv, err := c.GetJobGroup(ctx, sub.ID, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gv.State != "done" || gv.Done != 2 {
+		t.Fatalf("long-poll answered state %s with %d of 2 done, want the finished group", gv.State, gv.Done)
+	}
+	if took := time.Since(start); took > 3*time.Second {
+		t.Fatalf("long-poll held %v after the group finished", took)
+	}
+}
+
+// TestJobGroupLongPollKeyed: in keyed mode another tenant's group answers
+// 404 without parking, and a long-poll over the tenant's waiter allowance
+// answers at once with the current snapshot and Retry-After.
+func TestJobGroupLongPollKeyed(t *testing.T) {
+	keys := "w " + tenant.HashKey("w-key") + " waiters=1\nx " + tenant.HashKey("x-key") + "\n"
+	ts, _ := newTenantServer(t, keys, service.Config{Workers: 1})
+	started, release := registerBlocker(t, "park-keyed")
+	ctx := context.Background()
+	c := NewClient(ts.URL, nil).WithAPIKey("w-key")
+	if _, err := c.PutGraphGen(ctx, "g", GenRequest{Gen: "gnp", N: 8, P: 0.5, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c.SubmitJobGroup(ctx, JobGroupRequest{Algo: "park-keyed", GraphName: "g", Seeds: []uint64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // the group is running: a long-poll on it would park
+	groupURL := ts.URL + "/v1/jobgroups/" + sub.ID
+
+	start := time.Now()
+	if resp, _ := doRaw(t, http.MethodGet, groupURL+"?wait=5s", "x-key", ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("another tenant's long-poll: status %d, want 404", resp.StatusCode)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("another tenant's long-poll parked for %v", took)
+	}
+
+	// Hold w's one waiter slot with a batch stream: its 200 header is
+	// written only once the slot is taken.
+	b, err := c.SubmitBatch(ctx, BatchRequest{Graphs: []string{"g"}, Algos: []string{"park-keyed"}, Seeds: []uint64{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sreq, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/batches/"+b.ID+"/stream", nil)
+	sreq.Header.Set(APIKeyHeader, "w-key")
+	sresp, err := http.DefaultClient.Do(sreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	if sresp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", sresp.StatusCode)
+	}
+	start = time.Now()
+	resp, _ := doRaw(t, http.MethodGet, groupURL+"?wait=10s", "w-key", "")
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("long-poll over the waiter allowance: status %d, Retry-After %q; want 200 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("long-poll over the waiter allowance parked for %v", took)
+	}
+	release()
+	if gv := pollGroup(t, c, sub.ID); gv.State != "done" {
+		t.Fatalf("group state %s after release, want done", gv.State)
+	}
+	// The stream ends once its batch is done; reading it to the end means
+	// its handler has returned before the blocker is unregistered.
+	if _, err := io.Copy(io.Discard, sresp.Body); err != nil {
+		t.Fatal(err)
 	}
 }
 

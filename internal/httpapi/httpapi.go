@@ -22,7 +22,8 @@
 //	GET    /v1/jobs/{id}       poll a job
 //	DELETE /v1/jobs/{id}       cancel a queued or running job
 //	POST   /v1/jobgroups       run one algorithm over N seeds against one stored graph
-//	GET    /v1/jobgroups/{id}  poll a job group (binary with Accept: application/x-repro-jobgroup)
+//	GET    /v1/jobgroups/{id}  poll a job group; ?wait=5s long-polls until terminal
+//	                           (binary with Accept: application/x-repro-jobgroup)
 //	DELETE /v1/jobgroups/{id}  cancel a job group
 //	PUT    /v1/graphs/{name}   register a named graph (text, generator spec, or
 //	                           Content-Type: application/x-repro-graph binary)
@@ -472,29 +473,17 @@ func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, st *store.Sto
 		return v.Tenant, ok
 	}
 	mux.HandleFunc("GET /v1/batches/{id}", cfg.guard(batchTenant, service.ErrBatchNotFound, func(w http.ResponseWriter, r *http.Request) {
-		t := tenantFrom(r)
-		wait, err := parseWait(r.URL.Query().Get("wait"))
-		if err != nil {
-			writeError(w, err)
+		wait, release, ok := cfg.longPoll(w, r)
+		if !ok {
 			return
 		}
-		// The waiter gate bounds parked long-polls per tenant: over the
-		// bound the request degrades to an immediate snapshot with
-		// Retry-After, so a waiter flood costs fast polls, not goroutines.
-		if wait > 0 {
-			if cfg.waiters.acquire(t) {
-				defer cfg.waiters.release(t)
-			} else {
-				wait = 0
-				w.Header().Set("Retry-After", "1")
-			}
-		}
+		defer release()
 		v, ok := batches.Wait(r.PathValue("id"), wait)
 		if !ok {
 			writeError(w, service.ErrBatchNotFound)
 			return
 		}
-		writeJSON(w, http.StatusOK, cfg.batchResponse(t, v))
+		writeJSON(w, http.StatusOK, cfg.batchResponse(tenantFrom(r), v))
 	}))
 	mux.HandleFunc("GET /v1/batches/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
 		handleStreamBatch(cfg, batches, w, r)
@@ -507,6 +496,29 @@ func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, st *store.Sto
 		}
 		writeJSON(w, http.StatusOK, cfg.batchResponse(tenantFrom(r), v))
 	}))
+}
+
+// longPoll parses the request's ?wait= and takes a waiter-gate slot for it.
+// The gate bounds parked long-polls per tenant: over the bound the wait
+// degrades to an immediate snapshot with Retry-After, so a waiter flood
+// costs fast polls, not goroutines. ok is false when a malformed wait has
+// been answered with a 400; otherwise the caller must call release once
+// its wait is over.
+func (cfg *handlerConfig) longPoll(w http.ResponseWriter, r *http.Request) (wait time.Duration, release func(), ok bool) {
+	wait, err := parseWait(r.URL.Query().Get("wait"))
+	if err != nil {
+		writeError(w, err)
+		return 0, nil, false
+	}
+	if wait == 0 {
+		return 0, func() {}, true
+	}
+	t := tenantFrom(r)
+	if !cfg.waiters.acquire(t) {
+		w.Header().Set("Retry-After", "1")
+		return 0, func() {}, true
+	}
+	return wait, func() { cfg.waiters.release(t) }, true
 }
 
 // parseWait parses the ?wait= long-poll duration, capped at maxWait.

@@ -1031,6 +1031,9 @@ func (e jobExecutor) Execute(r *BatchRun) bool {
 // canceled batch (and its graph pins) alive.
 func (e jobExecutor) submit(r *BatchRun, i int, fp string, req Request) (JobView, error) {
 	notify := func(v JobView) {
+		// A cell can settle inside svc.submit (a cache hit, or a job that
+		// finishes first): record its job ID before Finish journals it.
+		r.Dispatched([]int{i}, v.ID)
 		r.Finish([]int{i}, []CellOutcome{{State: v.State, CacheHit: v.CacheHit, Error: v.Error, Result: v.Result}})
 	}
 	for {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -99,6 +100,8 @@ type group struct {
 	canceled  bool
 	submitted time.Time
 	finished  time.Time
+	// doneCh is closed when the group finalizes; WaitGroup parks on it.
+	doneCh chan struct{}
 }
 
 // SubmitGroup validates the group, fingerprints its graph once and admits
@@ -136,6 +139,7 @@ func (s *Service) SubmitGroup(req GroupRequest) (GroupView, error) {
 		state:   Queued,
 		cells:   make([]GroupCellView, len(req.Seeds)),
 		members: make([]*job, len(req.Seeds)),
+		doneCh:  make(chan struct{}),
 	}
 	fp := registry.Fingerprint(req.Graph)
 	for i, seed := range req.Seeds {
@@ -185,6 +189,7 @@ func (s *Service) settleMemberLocked(jb *job) {
 		gr.state = Canceled
 	}
 	gr.finished = time.Now()
+	close(gr.doneCh)
 	s.terminalGroups = append(s.terminalGroups, gr.id)
 	for len(s.terminalGroups) > s.cfg.MaxJobs {
 		delete(s.groups, s.terminalGroups[0])
@@ -194,12 +199,34 @@ func (s *Service) settleMemberLocked(jb *job) {
 
 // GetGroup returns a snapshot of the group with the given ID.
 func (s *Service) GetGroup(id string) (GroupView, bool) {
+	return s.WaitGroup(context.Background(), id, 0)
+}
+
+// WaitGroup blocks until the group with the given ID is terminal, d has
+// elapsed or ctx is done, then returns its snapshot — the long-poll behind
+// GET /v1/jobgroups/{id}?wait=. A group that cache hits settled inside
+// SubmitGroup, or that is already finished, returns at once. The second
+// result is false when the group does not exist.
+func (s *Service) WaitGroup(ctx context.Context, id string, d time.Duration) (GroupView, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	gr, ok := s.groups[id]
+	s.mu.Unlock()
 	if !ok {
 		return GroupView{}, false
 	}
+	if d > 0 {
+		t := time.NewTimer(d)
+		select {
+		case <-gr.doneCh:
+		case <-t.C:
+		case <-ctx.Done():
+		}
+		t.Stop()
+	}
+	// The group may have left the retention ring meanwhile; the pointer
+	// still renders its final snapshot.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return gr.view(), true
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -14,19 +15,88 @@ import (
 
 func waitGroupTerminal(t *testing.T, s *Service, id string) GroupView {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		v, ok := s.GetGroup(id)
-		if !ok {
-			t.Fatalf("group %s disappeared", id)
-		}
-		if v.State.Terminal() {
-			return v
-		}
-		time.Sleep(2 * time.Millisecond)
+	v, ok := s.WaitGroup(context.Background(), id, 30*time.Second)
+	if !ok {
+		t.Fatalf("group %s disappeared", id)
 	}
-	t.Fatalf("group %s did not finish", id)
-	return GroupView{}
+	if !v.State.Terminal() {
+		t.Fatalf("group %s did not finish", id)
+	}
+	return v
+}
+
+// TestWaitGroupWakes: WaitGroup answers at once for a group that cache hits
+// settled inside SubmitGroup, wakes a waiter parked on a running group when
+// CancelGroup lands, and gives up when the caller's context is done.
+func TestWaitGroupWakes(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	started, free := parked(t, "park-waitgroup")
+	defer free()
+	ctx := context.Background()
+	hits := GroupRequest{Algo: "maxis", Graph: smallGraph(4), Seeds: []uint64{1, 2}}
+
+	warm, err := s.SubmitGroup(hits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitGroupTerminal(t, s, warm.ID)
+	hit, err := s.SubmitGroup(hits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.State != Done {
+		t.Fatalf("an all-hit group is %s after SubmitGroup, want done", hit.State)
+	}
+	start := time.Now()
+	if v, ok := s.WaitGroup(ctx, hit.ID, time.Minute); !ok || v.State != Done {
+		t.Fatalf("WaitGroup on a settled group: %+v, %v", v, ok)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("WaitGroup on a settled group took %v", took)
+	}
+
+	gv, err := s.SubmitGroup(GroupRequest{Algo: "park-waitgroup", Graph: smallGraph(4), Seeds: []uint64{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	woke := make(chan GroupView, 1)
+	go func() {
+		v, _ := s.WaitGroup(ctx, gv.ID, time.Minute)
+		woke <- v
+	}()
+	select {
+	case v := <-woke:
+		t.Fatalf("WaitGroup returned %s before the group could finish", v.State)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := s.CancelGroup(gv.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case v := <-woke:
+		if v.State != Canceled {
+			t.Fatalf("woken waiter sees %s, want canceled", v.State)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("CancelGroup did not wake the parked waiter")
+	}
+
+	// The canceled member's computation still holds the one worker, so this
+	// group stays queued until the caller gives up.
+	queued, err := s.SubmitGroup(GroupRequest{Algo: "maxis", Graph: smallGraph(5), Seeds: []uint64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if v, ok := s.WaitGroup(cctx, queued.ID, time.Minute); !ok || v.State != Queued {
+		t.Fatalf("WaitGroup after its context ended: %+v, %v", v, ok)
+	}
+	if _, ok := s.WaitGroup(ctx, "g99999999", time.Minute); ok {
+		t.Fatal("WaitGroup invented a group")
+	}
 }
 
 // TestGroupMatchesIndividualRuns pins the grouped path to the per-job one:

@@ -510,3 +510,76 @@ func TestLedgerCrashRestartKeepsRetentionBound(t *testing.T) {
 		t.Fatalf("BatchCells = %d, want the 2 cells of the retained batches", m.BatchCells)
 	}
 }
+
+// TestLedgerCacheHitKeepsJobIDAcrossCrash: a cell that settles inside the
+// job engine's submit — here a cache hit — is journaled with the job ID it
+// was served under, so a restart that replays the log without a snapshot
+// restores that job ID and counts the cell as submitted, as it was served.
+func TestLedgerCacheHitKeepsJobIDAcrossCrash(t *testing.T) {
+	root := t.TempDir()
+	storeCfg := store.Config{WALDir: filepath.Join(root, "store-wal"), SpillDir: filepath.Join(root, "spill")}
+	batchWAL := filepath.Join(root, "batch-wal")
+
+	st, err := store.Open(storeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Workers: 1, QueueSize: 64})
+	// Close drains every record to disk, then dies writing the final
+	// snapshot, so the restart replays the records themselves.
+	crashAtSnapshot := &wal.TestHooks{CrashAt: func(point string) bool { return point == wal.PointSnapTemp }}
+	b, err := OpenBatches(svc, st, BatchConfig{WALDir: batchWAL, WALHooks: crashAtSnapshot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Put("g", store.Source{Gen: "gnp", GenParams: registry.GenParams{N: 20, P: 0.2, Seed: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	spec := BatchSpec{Graphs: []string{"g"}, Algos: []string{"maxis"}, Seeds: []uint64{1}}
+	warm, err := b.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitBatch(t, b, warm.ID)
+	v, err := b.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := waitBatch(t, b, v.ID)
+	if c := served.Cells[0]; !c.CacheHit || c.JobID == "" || served.Submitted != 1 {
+		t.Fatalf("want a served cache hit with a job ID, got cell %+v, submitted %d", c, served.Submitted)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(storeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	svc2 := New(Config{Workers: 1, QueueSize: 64})
+	defer svc2.Close()
+	b2, err := OpenBatches(svc2, st2, BatchConfig{WALDir: batchWAL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	if lm, _ := b2.LedgerMetrics(); lm.ReplayedSnapshots != 0 {
+		t.Fatalf("replayed %d snapshots, want the records alone", lm.ReplayedSnapshots)
+	}
+	after, ok := b2.Get(v.ID)
+	if !ok {
+		t.Fatalf("batch %s lost across the restart", v.ID)
+	}
+	if got, want := after.Cells[0].JobID, served.Cells[0].JobID; got != want {
+		t.Errorf("restored cell job ID %q, served %q", got, want)
+	}
+	if after.Submitted != served.Submitted {
+		t.Errorf("restored batch submitted %d, served %d", after.Submitted, served.Submitted)
+	}
+}
