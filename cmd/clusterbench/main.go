@@ -148,7 +148,7 @@ func runBatch(workers, seeds, groupSize int) (float64, int, error) {
 		return 0, 0, err
 	}
 	for {
-		cur, ok := f.coord.Batches().Wait(v.ID, 10*time.Second)
+		cur, ok := f.coord.Batches().Wait(context.Background(), v.ID, 10*time.Second)
 		if !ok {
 			return 0, 0, fmt.Errorf("batch %s vanished", v.ID)
 		}

@@ -3,7 +3,8 @@
 // W, ∆ and ε. The sweep engine lives in internal/sweep and is a thin client
 // of the served batch API (internal/httpapi): each experiment uploads its
 // graphs to the named graph store (fingerprint-deduplicated), submits one
-// batch of explicit cells, long-polls it, and renders the per-cell results —
+// batch of explicit cells, streams its results as they settle (resuming a
+// broken stream from its cell cursor), and renders the per-cell results —
 // so the CLI, the service and the cluster coordinator share one sweep engine
 // and identical results.
 //

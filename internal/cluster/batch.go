@@ -40,7 +40,7 @@ func (c *Coordinator) settle(timeout time.Duration) bool {
 		if v.State.Terminal() {
 			continue
 		}
-		if v, ok := c.b.Wait(v.ID, time.Until(deadline)); ok && !v.State.Terminal() {
+		if v, ok := c.b.Wait(context.Background(), v.ID, time.Until(deadline)); ok && !v.State.Terminal() {
 			return false
 		}
 	}
@@ -195,11 +195,11 @@ func (c *Coordinator) runGroup(r *service.BatchRun, pg *pinnedGraph, dg *dgroup)
 
 // runGroupOnWorker executes one group attempt on w: acquire one window slot
 // for the whole group, ensure the graph is uploaded (binary codec), submit
-// the job group, long-poll it to terminal over the negotiated binary
-// rendering. A non-nil error means the worker failed; application outcomes
-// — including per-cell failures and cache hits — come back one per seed. A
-// batch cancel returns canceled outcomes with a nil error after best-effort
-// canceling the worker-side group.
+// the job group, long-poll it to terminal; every answer arrives in RBS1,
+// the binary batch-stream framing. A non-nil error means the worker failed;
+// application outcomes — including per-cell failures and cache hits — come
+// back one per seed. A batch cancel returns canceled outcomes with a nil
+// error after best-effort canceling the worker-side group.
 func (c *Coordinator) runGroupOnWorker(r *service.BatchRun, dg *dgroup, w *worker, pg *pinnedGraph, gtrace string) ([]service.CellOutcome, error) {
 	ctx := r.Context()
 	w.mu.Lock()
@@ -349,7 +349,15 @@ func (c *Coordinator) runGroupOnWorker(r *service.BatchRun, dg *dgroup, w *worke
 			"cluster: worker %s returned %d cells for a %d-seed group", w.url, len(gr.Cells), len(dg.idxs))), nil
 	}
 	outs := make([]service.CellOutcome, len(gr.Cells))
-	for k, cw := range gr.Cells {
+	for _, cw := range gr.Cells {
+		// A cell names its seed by index. An index out of range, or one
+		// already placed (every placed outcome has a state), is version
+		// skew too.
+		k := cw.Index
+		if k < 0 || k >= len(outs) || outs[k].State != "" {
+			return failedOutcomes(dg, fmt.Sprintf(
+				"cluster: worker %s returned cell index %d for a %d-seed group", w.url, k, len(dg.idxs))), nil
+		}
 		res, err := cw.Result.ToResult()
 		if err != nil {
 			// A result the coordinator cannot decode is deterministic

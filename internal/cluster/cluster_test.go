@@ -47,7 +47,7 @@ func singleNodeRun(t *testing.T, graphs []namedSource, spec service.BatchSpec) s
 	}
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
-		v, _ = batches.Wait(v.ID, time.Second)
+		v, _ = batches.Wait(context.Background(), v.ID, time.Second)
 		if v.State.Terminal() {
 			return v
 		}
@@ -314,7 +314,7 @@ func TestGroupsLongPollToCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	fin, ok := coord.Batches().Wait(v.ID, 10*time.Second)
+	fin, ok := coord.Batches().Wait(context.Background(), v.ID, 10*time.Second)
 	if !ok || fin.State != service.BatchDone || fin.Done != fin.Total {
 		t.Fatalf("after %v the batch is %s with %d of %d cells done; want done: a group waited out PollInterval",
 			time.Since(start).Round(time.Millisecond), fin.State, fin.Done, fin.Total)

@@ -9,6 +9,7 @@ package cluster
 // is reproduced faithfully.
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -154,7 +155,7 @@ func waitBatch(t *testing.T, c *Coordinator, id string) service.BatchView {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
-		v, ok := c.Batches().Wait(id, time.Second)
+		v, ok := c.Batches().Wait(context.Background(), id, time.Second)
 		if !ok {
 			t.Fatalf("batch %s disappeared", id)
 		}

@@ -53,7 +53,7 @@ func TestBatchRetentionBothBackends(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fin, ok := b.Wait(v.ID, 30*time.Second); !ok || !fin.State.Terminal() {
+				if fin, ok := b.Wait(context.Background(), v.ID, 30*time.Second); !ok || !fin.State.Terminal() {
 					t.Fatalf("batch %s did not finish: %+v", v.ID, fin)
 				}
 				ids = append(ids, v.ID)

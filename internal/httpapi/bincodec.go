@@ -3,26 +3,24 @@ package httpapi
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
-// This file is the compact binary rendering of a JobGroupResponse
-// (DESIGN.md §6a), content-negotiated on GET /v1/jobgroups/{id} via the
-// Accept header. A 64-seed group of maxis results is ~6× smaller than its
-// JSON form (InSet travels as a bitset, Edges/Cost/Trace as varints), which
-// is the bulk of the coordinator's poll traffic. JSON stays the default and
-// the debug path; both renderings decode to identical structs, pinned by
-// TestGroupBinaryMatchesJSON.
-//
-// Layout: magic "RJG1", then the group header (len-prefixed strings, varint
-// counts, unix-nano timestamps), then one cell record per cell — seed,
-// state byte, flags byte, trace, and the optional error/result payloads the
-// flags announce. All varints are the encoding/binary Uvarint/Varint
-// formats; signed fields (weights, Edges entries, which use -1 for
-// unmatched) travel zigzagged via Varint.
+// This file holds the content types of the binary wire formats and the
+// codec primitives of RBS1 (DESIGN.md §6a, §9), the one binary result
+// format: length-prefixed varints and strings, the state byte, and the
+// result encoding a cell frame carries (stream.go). Two answers travel in
+// RBS1: the batch stream GET /v1/batches/{id}/stream under Accept:
+// application/x-repro-batchstream, and a job group's POST, GET or DELETE
+// answer under Accept: application/x-repro-jobgroup, which the cluster
+// coordinator reads on every submit and long-poll. A result travels with
+// InSet as an LSB-first bitset and Edges, costs and the round trace as
+// varints: a 16-seed group answer on a 64-node graph is 4× (matchings) to
+// 9× (independent sets) smaller than its JSON rendering. All varints are the
+// encoding/binary Uvarint/Varint formats; signed fields (weights, Edges
+// entries, which use -1 for unmatched) travel zigzagged via Varint.
 
 // GraphEdgeListContentType negotiates streamed whitespace edge-list (SNAP
 // dump) graph uploads on PUT /v1/graphs/{name}: the body is the file itself,
@@ -37,20 +35,9 @@ const GraphMatrixMarketContentType = "application/x-matrix-market"
 // PUT /v1/graphs/{name}.
 const GraphBinaryContentType = "application/x-repro-graph"
 
-// GroupBinaryContentType negotiates the binary job-group rendering on
-// GET /v1/jobgroups/{id} (and the jobgroup POST/DELETE responses).
+// GroupBinaryContentType negotiates the RBS1 rendering of a job group's
+// answer on POST /v1/jobgroups, GET and DELETE /v1/jobgroups/{id}.
 const GroupBinaryContentType = "application/x-repro-jobgroup"
-
-// groupMagic brands a binary group stream; the trailing 1 is the version.
-const groupMagic = "RJG1"
-
-// Cell-record flag bits: which optional payloads follow.
-const (
-	gfCacheHit = 1 << iota
-	gfError
-	gfResult
-	gfTrace
-)
 
 // stateCodes maps service states to wire bytes and back. Order is the wire
 // contract — append only.
@@ -69,67 +56,6 @@ func stateCode(s string) (byte, error) {
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-// appendTime appends a timestamp as unix nanoseconds, zero for the zero
-// time (time.Time zero values predate the unix epoch and would not survive
-// a UnixNano round trip).
-func appendTime(buf []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return binary.AppendVarint(buf, 0)
-	}
-	return binary.AppendVarint(buf, t.UnixNano())
-}
-
-// encodeGroupBinary renders v in the binary job-group format. Encoding a
-// snapshot cannot fail except for a state string outside the lifecycle
-// enum, which would be a programming error — hence the panic, mirroring
-// what writeJSON does on an unmarshalable value (logs and truncates).
-func encodeGroupBinary(v JobGroupResponse) []byte {
-	buf := make([]byte, 0, 64+len(v.Cells)*48)
-	buf = append(buf, groupMagic...)
-	buf = appendString(buf, v.ID)
-	buf = appendString(buf, v.Algo)
-	buf = appendString(buf, v.State)
-	buf = appendString(buf, v.TraceID)
-	buf = binary.AppendUvarint(buf, uint64(v.Total))
-	buf = binary.AppendUvarint(buf, uint64(v.Done))
-	buf = appendTime(buf, v.SubmittedAt)
-	if v.FinishedAt != nil {
-		buf = appendTime(buf, *v.FinishedAt)
-	} else {
-		buf = binary.AppendVarint(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(v.Cells)))
-	for _, c := range v.Cells {
-		code, err := stateCode(c.State)
-		if err != nil {
-			panic(err)
-		}
-		var flags byte
-		if c.CacheHit {
-			flags |= gfCacheHit
-		}
-		if c.Error != "" {
-			flags |= gfError
-		}
-		if c.Result != nil {
-			flags |= gfResult
-			if c.Result.Trace != nil {
-				flags |= gfTrace
-			}
-		}
-		buf = binary.AppendUvarint(buf, c.Seed)
-		buf = append(buf, code, flags)
-		buf = appendString(buf, c.TraceID)
-		if c.Error != "" {
-			buf = appendString(buf, c.Error)
-		}
-		if c.Result != nil {
-			buf = appendResult(buf, c.Result)
-		}
-	}
-	return buf
 }
 
 func appendResult(buf []byte, r *JobResult) []byte {
@@ -176,17 +102,17 @@ func appendBitset(buf []byte, bits []bool) []byte {
 	return buf
 }
 
-// groupReader walks a binary group stream, latching the first error so the
+// cellReader walks a binary cell payload, latching the first error so the
 // decode body reads linearly without per-field error plumbing.
-type groupReader struct {
+type cellReader struct {
 	data []byte
 	off  int
 	err  error
 }
 
-func (r *groupReader) fail(format string, args ...any) {
+func (r *cellReader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("httpapi: binary group: "+format, args...)
+		r.err = fmt.Errorf("httpapi: stream cell: "+format, args...)
 	}
 }
 
@@ -194,7 +120,7 @@ func (r *groupReader) fail(format string, args ...any) {
 // overlong and refused, as the decoders refuse every other slack (unknown
 // flag bits, bitset padding): each value has one encoding, so anything
 // that decodes re-encodes to its own bytes.
-func (r *groupReader) uvarint(what string) uint64 {
+func (r *cellReader) uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -208,12 +134,12 @@ func (r *groupReader) uvarint(what string) uint64 {
 }
 
 // varint reads one zigzag-encoded signed varint (binary.AppendVarint).
-func (r *groupReader) varint(what string) int64 {
+func (r *cellReader) varint(what string) int64 {
 	u := r.uvarint(what)
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (r *groupReader) count(what string) int {
+func (r *cellReader) count(what string) int {
 	v := r.uvarint(what)
 	// Every counted element occupies at least one byte, so a count beyond
 	// the remaining input is malformed — reject before allocating for it.
@@ -224,7 +150,7 @@ func (r *groupReader) count(what string) int {
 	return int(v)
 }
 
-func (r *groupReader) str(what string) string {
+func (r *cellReader) str(what string) string {
 	n := r.count(what + " length")
 	if r.err != nil {
 		return ""
@@ -234,7 +160,7 @@ func (r *groupReader) str(what string) string {
 	return s
 }
 
-func (r *groupReader) byte(what string) byte {
+func (r *cellReader) byte(what string) byte {
 	if r.err != nil {
 		return 0
 	}
@@ -247,73 +173,7 @@ func (r *groupReader) byte(what string) byte {
 	return b
 }
 
-func (r *groupReader) time(what string) time.Time {
-	ns := r.varint(what)
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
-
-// decodeGroupBinary parses the format written by encodeGroupBinary.
-func decodeGroupBinary(data []byte) (JobGroupResponse, error) {
-	if len(data) < len(groupMagic) || string(data[:len(groupMagic)]) != groupMagic {
-		return JobGroupResponse{}, fmt.Errorf("httpapi: binary group: bad magic (want %q)", groupMagic)
-	}
-	r := &groupReader{data: data, off: len(groupMagic)}
-	v := JobGroupResponse{
-		ID:      r.str("id"),
-		Algo:    r.str("algo"),
-		State:   r.str("state"),
-		TraceID: r.str("trace id"),
-		Total:   int(r.uvarint("total")),
-		Done:    int(r.uvarint("done")),
-	}
-	v.SubmittedAt = r.time("submitted_at")
-	if t := r.time("finished_at"); !t.IsZero() {
-		v.FinishedAt = &t
-	}
-	n := r.count("cell count")
-	if r.err != nil {
-		return JobGroupResponse{}, r.err
-	}
-	v.Cells = make([]GroupCellWire, 0, n)
-	for i := 0; i < n; i++ {
-		c := GroupCellWire{Seed: r.uvarint("seed")}
-		code := r.byte("state code")
-		flags := r.byte("flags")
-		if r.err == nil {
-			if int(code) >= len(stateCodes) {
-				r.fail("cell %d: unknown state code %d", i, code)
-			} else {
-				c.State = stateCodes[code]
-			}
-		}
-		if flags&^(gfCacheHit|gfError|gfResult|gfTrace) != 0 || flags&(gfResult|gfTrace) == gfTrace {
-			r.fail("cell %d: bad flags %#x", i, flags)
-		}
-		c.CacheHit = flags&gfCacheHit != 0
-		c.TraceID = r.str("cell trace id")
-		if flags&gfError != 0 {
-			if c.Error = r.str("cell error"); c.Error == "" {
-				r.fail("cell %d: empty error", i)
-			}
-		}
-		if flags&gfResult != 0 {
-			c.Result = readResult(r, flags&gfTrace != 0)
-		}
-		if r.err != nil {
-			return JobGroupResponse{}, r.err
-		}
-		v.Cells = append(v.Cells, c)
-	}
-	if r.off != len(data) {
-		return JobGroupResponse{}, fmt.Errorf("httpapi: binary group: %d trailing bytes", len(data)-r.off)
-	}
-	return v, nil
-}
-
-func readResult(r *groupReader, hasTrace bool) *JobResult {
+func readResult(r *cellReader, hasTrace bool) *JobResult {
 	res := &JobResult{
 		Kind:      r.str("result kind"),
 		Size:      int(r.varint("result size")),
@@ -357,7 +217,7 @@ func readResult(r *groupReader, hasTrace bool) *JobResult {
 // readBitset reads n bools packed LSB-first. A bitset packs eight entries
 // per byte, so the generic count() one-byte-per-element bound does not
 // apply; bound n against the remaining bytes × 8 before allocating.
-func readBitset(r *groupReader, n uint64) []bool {
+func readBitset(r *cellReader, n uint64) []bool {
 	if r.err != nil {
 		return nil
 	}

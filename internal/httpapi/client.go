@@ -97,23 +97,8 @@ func (c *Client) send(ctx context.Context, method, path string, body io.Reader, 
 }
 
 // do round-trips one JSON request. A nil out discards the response body.
-// Requests that carry a trace ID (job, group and batch submissions) also
-// send it as the TraceHeader header, so access logs and proxies see the
-// trace without parsing bodies.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	var ctype, trace string
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body, ctype = bytes.NewReader(buf), "application/json"
-		if t, ok := in.(interface{ TraceHeaderValue() string }); ok {
-			trace = t.TraceHeaderValue()
-		}
-	}
-	resp, err := c.send(ctx, method, path, body, "Content-Type", ctype, TraceHeader, trace)
+	resp, err := c.sendJSON(ctx, method, path, in)
 	if err != nil {
 		return err
 	}
@@ -122,6 +107,25 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// sendJSON is send with in, when not nil, as the JSON body. Requests that
+// carry a trace ID (job, group and batch submissions) also send it as the
+// TraceHeader header, so access logs and proxies see the trace without
+// parsing bodies.
+func (c *Client) sendJSON(ctx context.Context, method, path string, in any, header ...string) (*http.Response, error) {
+	if in == nil {
+		return c.send(ctx, method, path, nil, header...)
+	}
+	buf, err := json.Marshal(in)
+	if err != nil {
+		return nil, err
+	}
+	header = append(header, "Content-Type", "application/json")
+	if t, ok := in.(interface{ TraceHeaderValue() string }); ok {
+		header = append(header, TraceHeader, t.TraceHeaderValue())
+	}
+	return c.send(ctx, method, path, bytes.NewReader(buf), header...)
 }
 
 // PutGraph registers a graph in the graph.Encode text format under name.
@@ -241,17 +245,25 @@ func (c *Client) CancelJob(ctx context.Context, id string) (JobResponse, error) 
 // SubmitJobGroup submits one job group (N seeds of one algorithm against a
 // stored graph).
 func (c *Client) SubmitJobGroup(ctx context.Context, req JobGroupRequest) (JobGroupResponse, error) {
-	var out JobGroupResponse
-	err := c.do(ctx, http.MethodPost, "/v1/jobgroups", req, &out)
-	return out, err
+	return c.jobGroup(ctx, http.MethodPost, "/v1/jobgroups", req)
 }
 
-// GetJobGroup polls one job group in the compact binary rendering (RJG1);
-// wait > 0 long-polls server-side until the group is terminal or wait has
-// elapsed. WireBytes reports the body size.
+// GetJobGroup polls one job group; wait > 0 long-polls server-side until
+// the group is terminal or wait has elapsed.
 func (c *Client) GetJobGroup(ctx context.Context, id string, wait time.Duration) (JobGroupResponse, error) {
-	resp, err := c.send(ctx, http.MethodGet, "/v1/jobgroups/"+url.PathEscape(id)+waitQuery(wait), nil,
-		"Accept", GroupBinaryContentType)
+	return c.jobGroup(ctx, http.MethodGet, "/v1/jobgroups/"+url.PathEscape(id)+waitQuery(wait), nil)
+}
+
+// CancelJobGroup cancels a queued or running job group.
+func (c *Client) CancelJobGroup(ctx context.Context, id string) (JobGroupResponse, error) {
+	return c.jobGroup(ctx, http.MethodDelete, "/v1/jobgroups/"+url.PathEscape(id), nil)
+}
+
+// jobGroup round-trips one job-group request in the binary rendering and
+// reads the answer with the batch stream's reader. WireBytes reports the
+// body size.
+func (c *Client) jobGroup(ctx context.Context, method, path string, in any) (JobGroupResponse, error) {
+	resp, err := c.sendJSON(ctx, method, path, in, "Accept", GroupBinaryContentType)
 	if err != nil {
 		return JobGroupResponse{}, err
 	}
@@ -260,19 +272,16 @@ func (c *Client) GetJobGroup(ctx context.Context, id string, wait time.Duration)
 	if err != nil {
 		return JobGroupResponse{}, err
 	}
-	out, err := decodeGroupBinary(body)
-	if err != nil {
+	var out JobGroupResponse
+	var cells []BatchCellView
+	if err := readStreamBody(bytes.NewReader(body), func(cv BatchCellView) error {
+		cells = append(cells, cv)
+		return nil
+	}, &out); err != nil {
 		return JobGroupResponse{}, err
 	}
-	out.WireBytes = len(body)
+	out.Cells, out.WireBytes = cells, len(body)
 	return out, nil
-}
-
-// CancelJobGroup cancels a queued or running job group.
-func (c *Client) CancelJobGroup(ctx context.Context, id string) (JobGroupResponse, error) {
-	var out JobGroupResponse
-	err := c.do(ctx, http.MethodDelete, "/v1/jobgroups/"+url.PathEscape(id), nil, &out)
-	return out, err
 }
 
 // SubmitBatch submits a batch.

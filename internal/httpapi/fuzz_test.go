@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -97,50 +98,69 @@ func FuzzHandleJobSubmit(f *testing.F) {
 	})
 }
 
-// FuzzGroupBinaryDecode fuzzes the RJG1 job-group decoder the coordinator
-// runs on every worker poll: arbitrary bodies must never panic, and the
-// encoding is canonical — anything that decodes re-encodes to exactly the
-// bytes it was decoded from. The seeds are encoder output: an empty group,
-// queued and failed cells, and done cells carrying matchings, independent
-// sets and round traces.
-func FuzzGroupBinaryDecode(f *testing.F) {
-	submitted := time.Unix(1_700_000_000, 123)
-	finished := submitted.Add(time.Second)
-	f.Add(encodeGroupBinary(JobGroupResponse{ID: "g00000001", Algo: "maxis", State: "queued"}))
-	f.Add(encodeGroupBinary(JobGroupResponse{
-		ID: "g00000002", Algo: "mwm2", State: "running", TraceID: "t0", Total: 2,
-		SubmittedAt: submitted,
-		Cells: []GroupCellWire{
-			{Seed: 1, TraceID: "t0.000", State: "queued"},
-			{Seed: 1 << 40, TraceID: "t0.001", State: "failed", Error: "timeout"},
-		},
+// FuzzStreamBody fuzzes readStreamBody, the one reader of RBS1 bodies —
+// batch streams and job-group answers alike: magic, frames, cell payloads
+// and the JSON summary. Arbitrary bodies must never panic, and reading
+// their frames must reserve memory only for bytes that arrived: at most
+// four times the body's length plus a fixed slack, whatever lengths its
+// frame headers declare. The seeds are encoder output — a batch stream
+// with a keepalive, and a job group's binary answer — plus a 15-byte body
+// that declares a 256 MiB frame.
+func FuzzStreamBody(f *testing.F) {
+	var stream bytes.Buffer
+	stream.WriteString(streamMagic)
+	_ = writeStreamFrame(&stream, StreamFrameCell, encodeStreamCell(BatchCellView{
+		Graph: "g", Algo: "mwm2", JobID: "j1", TraceID: "t.000", State: "done", CacheHit: true,
+		Params: &ParamsRequest{Eps: 0.5, Seed: 3},
+		Result: &JobResult{Kind: "matching", Size: 2, Weight: -7, Edges: []int{1, -1, 0, 4, -1},
+			Cost: registry.Cost{Rounds: 9, RealRounds: 3, Messages: 40, Bits: 640, MaxMessageBits: 16, BitBudget: 32}},
 	}))
-	f.Add(encodeGroupBinary(JobGroupResponse{
-		ID: "g00000003", Algo: "maxis", State: "done", Total: 2, Done: 2,
-		SubmittedAt: submitted, FinishedAt: &finished,
-		Cells: []GroupCellWire{
-			{Seed: 3, State: "done", CacheHit: true, Result: &JobResult{
-				Kind: "matching", Size: 2, Weight: -7, Edges: []int{1, -1, 0, 4, -1},
-				Cost: registry.Cost{Rounds: 9, RealRounds: 3, Messages: 40, Bits: 640, MaxMessageBits: 16, BitBudget: 32},
-			}},
-			{Seed: 4, State: "done", Result: &JobResult{
+	_ = writeStreamFrame(&stream, StreamFrameKeepalive, nil)
+	_ = writeStreamFrame(&stream, StreamFrameCell, encodeStreamCell(BatchCellView{
+		Index: 1, Graph: "g", Algo: "mwm2", State: "failed", Error: "timeout",
+	}))
+	summary, err := json.Marshal(BatchResponse{ID: "b00000001", State: "done", Total: 2, Done: 1, Failed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	_ = writeStreamFrame(&stream, StreamFrameBatch, summary)
+	f.Add(stream.Bytes())
+
+	group := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobgroups/g00000001", nil)
+	req.Header.Set("Accept", GroupBinaryContentType)
+	writeGroup(group, req, http.StatusOK, JobGroupResponse{
+		ID: "g00000001", Algo: "maxis", State: "canceled", Total: 2, Done: 2,
+		SubmittedAt: time.Unix(1_700_000_000, 123),
+		Cells: []BatchCellView{
+			{TraceID: "t.000", State: "done", Result: &JobResult{
 				Kind: "independent_set", Size: 3, Weight: 12, Uncovered: 1,
 				InSet: []bool{true, false, true, false, false, false, false, false, true, true},
 				Trace: &obs.RoundTrace{Rounds: 3, VirtualRounds: 9, Messages: 40, Bits: 640,
 					PeakRoundMessages: 20, PeakRoundBits: 320, PeakActive: 10, CompactMoves: 2, MemoHits: 5, MemoMisses: 1},
 			}},
+			{Index: 1, TraceID: "t.001", State: "canceled"},
 		},
-	}))
-	f.Add([]byte(groupMagic))
+	})
+	f.Add(group.Body.Bytes())
+	f.Add(append(binary.BigEndian.AppendUint32(append([]byte(streamMagic), StreamFrameCell), maxStreamFrame), "abcdef"...))
+	f.Add([]byte(streamMagic))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := decodeGroupBinary(data)
-		if err != nil {
-			return
+		for _, summary := range []any{&BatchResponse{}, &JobGroupResponse{}} {
+			_ = readStreamBody(bytes.NewReader(data), func(BatchCellView) error { return nil }, summary)
 		}
-		if re := encodeGroupBinary(v); !bytes.Equal(re, data) {
-			t.Fatalf("decoded %+v re-encodes to\n%x\nnot\n%x", v, re, data)
+		frames := func() {
+			r := bytes.NewReader(data[min(len(data), len(streamMagic)):])
+			for {
+				if _, _, err := ReadStreamFrame(r); err != nil {
+					return
+				}
+			}
+		}
+		if got, limit := allocBytes(frames), 4*uint64(len(data))+64<<10; got > limit {
+			t.Fatalf("reading the frames of a %d-byte body allocated %d bytes, limit %d", len(data), got, limit)
 		}
 	})
 }

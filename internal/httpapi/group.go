@@ -1,6 +1,8 @@
 package httpapi
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"log"
 	"net/http"
@@ -13,10 +15,11 @@ import (
 
 // This file is the wire surface of the worker-side job-group path
 // (DESIGN.md §6a): POST /v1/jobgroups runs one algorithm over N seeds
-// against a single stored-graph lookup, and GET /v1/jobgroups/{id}
-// content-negotiates between JSON and the compact binary result stream in
-// bincodec.go (Accept: application/x-repro-jobgroup) and, with ?wait=,
-// long-polls until the group is terminal. The seeds run as
+// against a single stored-graph lookup, and GET /v1/jobgroups/{id}, with
+// ?wait=, long-polls until the group is terminal. Every group answer
+// content-negotiates between JSON and RBS1, the framing of the binary batch
+// stream (Accept: application/x-repro-jobgroup): one cell frame per seed in
+// index order, then the group header as the summary frame. The seeds run as
 // member jobs behind the same fair queue as POST /v1/jobs, so a group the
 // tenant's queue cannot take answers 503 queue_full. The cluster
 // coordinator is the primary client; curl with JSON works the same way.
@@ -46,25 +49,20 @@ type JobGroupRequest struct {
 // TraceHeader header.
 func (r JobGroupRequest) TraceHeaderValue() string { return r.TraceID }
 
-// GroupCellWire is the wire form of one seed's run inside a job group.
-type GroupCellWire struct {
-	Seed     uint64     `json:"seed"`
-	TraceID  string     `json:"trace_id,omitempty"`
-	State    string     `json:"state"`
-	CacheHit bool       `json:"cache_hit,omitempty"`
-	Error    string     `json:"error,omitempty"`
-	Result   *JobResult `json:"result,omitempty"`
-}
-
 // JobGroupResponse is the wire form of a job-group snapshot.
 type JobGroupResponse struct {
-	ID          string          `json:"id"`
-	Algo        string          `json:"algo"`
-	State       string          `json:"state"`
-	TraceID     string          `json:"trace_id,omitempty"`
-	Total       int             `json:"total"`
-	Done        int             `json:"done"`
-	Cells       []GroupCellWire `json:"cells"`
+	ID      string `json:"id"`
+	Algo    string `json:"algo"`
+	State   string `json:"state"`
+	TraceID string `json:"trace_id,omitempty"`
+	Total   int    `json:"total"`
+	Done    int    `json:"done"`
+	// Cells holds one cell per seed in the batch-cell shape: Index is the
+	// seed's position in the request's Seeds, and Graph, Algo, Params and
+	// JobID stay empty, since the group and its request carry them. The
+	// binary rendering sends them as cell frames, so its summary frame
+	// omits them.
+	Cells       []BatchCellView `json:"cells,omitempty"`
 	SubmittedAt time.Time       `json:"submitted_at"`
 	FinishedAt  *time.Time      `json:"finished_at,omitempty"`
 	// WireBytes reports how many body bytes the response arrived as; the
@@ -164,18 +162,31 @@ func handleSubmitGroup(cfg *handlerConfig, svc *service.Service, st *store.Store
 }
 
 // writeGroup writes a group response in the representation the request's
-// Accept header asks for: the compact binary stream when it names
-// GroupBinaryContentType, JSON otherwise.
+// Accept header asks for: JSON by default, or, when it names
+// GroupBinaryContentType, an RBS1 body that ends the way a batch stream
+// does, one cell frame per seed then the cell-free header as the summary.
 func writeGroup(w http.ResponseWriter, r *http.Request, code int, v JobGroupResponse) {
-	if strings.Contains(r.Header.Get("Accept"), GroupBinaryContentType) {
-		w.Header().Set("Content-Type", GroupBinaryContentType)
-		w.WriteHeader(code)
-		if _, err := w.Write(encodeGroupBinary(v)); err != nil {
-			log.Printf("httpapi: writing group response: %v", err)
-		}
+	if !strings.Contains(r.Header.Get("Accept"), GroupBinaryContentType) {
+		writeJSON(w, code, v)
 		return
 	}
-	writeJSON(w, code, v)
+	cells := v.Cells
+	v.Cells = nil
+	summary, err := json.Marshal(v)
+	if err != nil {
+		writeErrCode(w, http.StatusInternalServerError, "", "internal: response encoding failed")
+		return
+	}
+	body := bytes.NewBufferString(streamMagic)
+	for _, c := range cells {
+		_ = writeStreamFrame(body, StreamFrameCell, encodeStreamCell(c))
+	}
+	_ = writeStreamFrame(body, StreamFrameBatch, summary)
+	w.Header().Set("Content-Type", GroupBinaryContentType)
+	w.WriteHeader(code)
+	if _, err := body.WriteTo(w); err != nil {
+		log.Printf("httpapi: writing group response: %v", err)
+	}
 }
 
 func toGroupResponse(v service.GroupView) JobGroupResponse {
@@ -186,7 +197,7 @@ func toGroupResponse(v service.GroupView) JobGroupResponse {
 		TraceID:     v.TraceID,
 		Total:       v.Total,
 		Done:        v.Done,
-		Cells:       make([]GroupCellWire, len(v.Cells)),
+		Cells:       make([]BatchCellView, len(v.Cells)),
 		SubmittedAt: v.SubmittedAt,
 	}
 	if !v.FinishedAt.IsZero() {
@@ -194,8 +205,8 @@ func toGroupResponse(v service.GroupView) JobGroupResponse {
 		out.FinishedAt = &t
 	}
 	for i, c := range v.Cells {
-		out.Cells[i] = GroupCellWire{
-			Seed:     c.Seed,
+		out.Cells[i] = BatchCellView{
+			Index:    i,
 			TraceID:  c.TraceID,
 			State:    string(c.State),
 			CacheHit: c.CacheHit,

@@ -72,9 +72,9 @@ func TestJobGroupLifecycleHTTP(t *testing.T) {
 		t.Fatalf("WireBytes %d, want body size", gv.WireBytes)
 	}
 	for i, cell := range gv.Cells {
-		if cell.Seed != seeds[i] || cell.TraceID != traces[i] {
-			t.Fatalf("cell %d: seed=%d trace=%q, want seed=%d trace=%q",
-				i, cell.Seed, cell.TraceID, seeds[i], traces[i])
+		if cell.Index != i || cell.TraceID != traces[i] {
+			t.Fatalf("cell %d: index=%d trace=%q, want index=%d trace=%q",
+				i, cell.Index, cell.TraceID, i, traces[i])
 		}
 		if cell.State != "done" || cell.Error != "" || cell.Result == nil {
 			t.Fatalf("cell %d: %+v", i, cell)
@@ -250,10 +250,11 @@ func TestJobGroupLongPollKeyed(t *testing.T) {
 	}
 }
 
-// TestGroupBinaryMatchesJSON pins the codec contract stated in bincodec.go:
-// the binary and JSON renderings of the same group snapshot decode to
-// identical JobGroupResponse structs, and the binary body is substantially
-// smaller.
+// TestGroupBinaryMatchesJSON pins the group rendering contract: the binary
+// answer is an RBS1 body — the magic, one cell frame per seed in index
+// order, then the summary frame — the binary and JSON renderings of the
+// same group snapshot decode to identical JobGroupResponse structs, and
+// the binary body is substantially smaller.
 func TestGroupBinaryMatchesJSON(t *testing.T) {
 	ts, _, _ := newFullServer(t, service.Config{Workers: 2}, service.BatchConfig{})
 	c := NewClient(ts.URL, nil)
@@ -309,22 +310,34 @@ func TestGroupBinaryMatchesJSON(t *testing.T) {
 	if err := json.Unmarshal(jsonBody, &fromJSON); err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := decodeGroupBinary(binBody)
-	if err != nil {
+	// The magic, one cell frame per seed, then the summary frame, which
+	// ends the body.
+	if !bytes.HasPrefix(binBody, []byte(streamMagic)) {
+		t.Fatalf("binary body does not start %q", streamMagic)
+	}
+	frames := bytes.NewReader(binBody[len(streamMagic):])
+	for i := 0; i <= len(seeds); i++ {
+		want := StreamFrameCell
+		if i == len(seeds) {
+			want = StreamFrameBatch
+		}
+		if typ, _, err := ReadStreamFrame(frames); err != nil || typ != want {
+			t.Fatalf("frame %d: type %d, err %v; want type %d", i, typ, err, want)
+		}
+	}
+	if frames.Len() != 0 {
+		t.Fatalf("%d bytes after the summary frame", frames.Len())
+	}
+	var fromBin JobGroupResponse
+	if err := readStreamBody(bytes.NewReader(binBody), func(cv BatchCellView) error {
+		if cv.Index != len(fromBin.Cells) {
+			return fmt.Errorf("cell frame %d carries index %d", len(fromBin.Cells), cv.Index)
+		}
+		fromBin.Cells = append(fromBin.Cells, cv)
+		return nil
+	}, &fromBin); err != nil {
 		t.Fatal(err)
 	}
-
-	// Timestamps compare by instant (the two decoders land in different
-	// time.Location representations), the rest by deep equality.
-	if !fromBin.SubmittedAt.Equal(fromJSON.SubmittedAt) {
-		t.Fatalf("submitted_at: binary %v, json %v", fromBin.SubmittedAt, fromJSON.SubmittedAt)
-	}
-	if (fromBin.FinishedAt == nil) != (fromJSON.FinishedAt == nil) ||
-		(fromBin.FinishedAt != nil && !fromBin.FinishedAt.Equal(*fromJSON.FinishedAt)) {
-		t.Fatalf("finished_at: binary %v, json %v", fromBin.FinishedAt, fromJSON.FinishedAt)
-	}
-	fromBin.SubmittedAt, fromJSON.SubmittedAt = time.Time{}, time.Time{}
-	fromBin.FinishedAt, fromJSON.FinishedAt = nil, nil
 	if !reflect.DeepEqual(fromBin, fromJSON) {
 		t.Fatalf("renderings diverge:\nbinary: %+v\njson:   %+v", fromBin, fromJSON)
 	}

@@ -23,7 +23,7 @@
 //	DELETE /v1/jobs/{id}       cancel a queued or running job
 //	POST   /v1/jobgroups       run one algorithm over N seeds against one stored graph
 //	GET    /v1/jobgroups/{id}  poll a job group; ?wait=5s long-polls until terminal
-//	                           (binary with Accept: application/x-repro-jobgroup)
+//	                           (RBS1 frames with Accept: application/x-repro-jobgroup)
 //	DELETE /v1/jobgroups/{id}  cancel a job group
 //	PUT    /v1/graphs/{name}   register a named graph (text, generator spec, or
 //	                           Content-Type: application/x-repro-graph binary)
@@ -478,7 +478,7 @@ func registerBackendRoutes(mux *http.ServeMux, cfg *handlerConfig, st *store.Sto
 			return
 		}
 		defer release()
-		v, ok := batches.Wait(r.PathValue("id"), wait)
+		v, ok := batches.Wait(r.Context(), r.PathValue("id"), wait)
 		if !ok {
 			writeError(w, service.ErrBatchNotFound)
 			return

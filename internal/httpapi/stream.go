@@ -27,9 +27,11 @@ import (
 //     data lines, keepalive comments while cells run, and a final
 //     "event: batch" summary. Works with curl -N and EventSource.
 //   - Binary (Accept: application/x-repro-batchstream): an "RBS1" magic
-//     then length-prefixed frames; cell payloads reuse the RJG1-style
-//     varint/bitset codec from bincodec.go, the final batch summary is a
-//     JSON payload. ~6× smaller than SSE for result-heavy cells.
+//     then length-prefixed frames; cell payloads use the varint/bitset
+//     codec from bincodec.go, the final batch summary is a JSON payload.
+//     ~6× smaller than SSE for result-heavy cells. A job group's binary
+//     answer (group.go) is the same body, so one reader, readStreamBody,
+//     decodes both.
 //
 // Both renderings resume: Last-Event-ID (the SSE convention — the last cell
 // index the client saw) or ?from= (the first index still wanted) restart a
@@ -52,14 +54,19 @@ const (
 	StreamFrameKeepalive byte = 0
 	// StreamFrameCell carries one settled cell in the binary cell codec.
 	StreamFrameCell byte = 1
-	// StreamFrameBatch carries the final batch summary as JSON (cells
-	// omitted — they were already streamed) and ends the stream.
+	// StreamFrameBatch carries the final summary, the batch or job group
+	// header, as JSON (cells omitted — they were already sent) and ends the
+	// body.
 	StreamFrameBatch byte = 2
 )
 
 // maxStreamFrame bounds a frame payload a client will buffer; a settled
 // cell for the largest admissible graph stays far below it.
 const maxStreamFrame = 256 << 20
+
+// frameChunk is the most ReadStreamFrame reserves for payload bytes that
+// have not arrived yet.
+const frameChunk = 32 << 10
 
 // streamSlice is how long one server-side cell wait parks before emitting a
 // keepalive. Short enough that client disconnects and proxy idle timeouts
@@ -161,21 +168,12 @@ func handleStreamBatch(cfg *handlerConfig, batches *service.Batches, w http.Resp
 			if ctx.Err() != nil {
 				return
 			}
-			cv, ok := batches.WaitCell(id, i, streamSlice)
+			// A cell frozen non-terminal in a terminal batch (cancel,
+			// drain) is settled too, so the stream matches the terminal
+			// GET exactly.
+			cv, settled, ok := batches.WaitCell(ctx, id, i, streamSlice)
 			if !ok {
 				return // batch evicted mid-stream
-			}
-			settled := cv.State.Terminal()
-			if !settled {
-				// Distinguish "still running" from "batch went terminal
-				// with this cell frozen non-terminal" (cancel, drain): the
-				// latter emits the frozen snapshot so the stream matches
-				// the terminal GET exactly.
-				if bv, ok := batches.Get(id); ok && bv.State.Terminal() {
-					settled = true
-				} else if !ok {
-					return
-				}
 			}
 			if settled {
 				if err := emitCell(i, cfg.cellWire(t, cv)); err != nil {
@@ -197,7 +195,7 @@ func handleStreamBatch(cfg *handlerConfig, batches *service.Batches, w http.Resp
 		if ctx.Err() != nil {
 			return
 		}
-		bv, ok := batches.Wait(id, streamSlice)
+		bv, ok := batches.Wait(ctx, id, streamSlice)
 		if !ok {
 			return
 		}
@@ -238,33 +236,47 @@ func writeStreamFrame(w io.Writer, typ byte, payload []byte) error {
 	return nil
 }
 
-// ReadStreamFrame reads one frame from a binary batch stream (after the
-// magic). It bounds the payload so a corrupt length prefix cannot force a
-// huge allocation.
+// ReadStreamFrame reads one frame from an RBS1 body (after the magic). It
+// bounds the payload at maxStreamFrame and reserves memory only for bytes
+// it has read, so a corrupt length prefix cannot force a huge allocation: a
+// frame of up to frameChunk bytes costs one exact allocation, a longer one
+// doubles its buffer as its bytes arrive.
 func ReadStreamFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxStreamFrame {
-		return 0, nil, fmt.Errorf("httpapi: stream frame of %d bytes exceeds limit", n)
+	size := binary.BigEndian.Uint32(hdr[1:])
+	if size > maxStreamFrame {
+		return 0, nil, fmt.Errorf("httpapi: stream frame of %d bytes exceeds limit", size)
 	}
+	n := int(size)
 	if n == 0 {
 		return hdr[0], nil, nil
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	payload = make([]byte, min(n, frameChunk))
+	read := 0
+	for {
+		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			return 0, nil, err
+		}
+		if read = len(payload); read == n {
+			return hdr[0], payload, nil
+		}
+		// Double what has arrived, up to the declared length: all the
+		// buffers together stay under frameChunk plus four times the bytes
+		// read.
+		grown := make([]byte, min(n, 2*read))
+		copy(grown, payload)
+		payload = grown
 	}
-	return hdr[0], payload, nil
 }
 
 // encodeStreamCell renders one settled cell in the binary cell codec:
 // index, graph/algo/job/trace strings, state and flag bytes, then the
-// optional params/error/result payloads the flags announce, reusing the
-// RJG1 result encoding. Like encodeGroupBinary it can only fail on a state
-// outside the lifecycle enum — a programming error — hence the panic.
+// optional params/error/result payloads the flags announce. It can only
+// fail on a state outside the lifecycle enum — a programming error — hence
+// the panic, mirroring what writeJSON does on an unmarshalable value.
 func encodeStreamCell(c BatchCellView) []byte {
 	code, err := stateCode(c.State)
 	if err != nil {
@@ -319,7 +331,7 @@ func appendF64(buf []byte, v float64) []byte {
 	return binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
-func (r *groupReader) f64(what string) float64 {
+func (r *cellReader) f64(what string) float64 {
 	if r.err != nil {
 		return 0
 	}
@@ -336,7 +348,7 @@ func (r *groupReader) f64(what string) float64 {
 // encodeStreamCell. It is exported for clients of the binary stream and is
 // the fuzzing surface of the stream codec.
 func DecodeStreamCell(data []byte) (BatchCellView, error) {
-	r := &groupReader{data: data}
+	r := &cellReader{data: data}
 	c := BatchCellView{
 		Index:   int(r.uvarint("index")),
 		Graph:   r.str("graph"),
@@ -353,8 +365,9 @@ func DecodeStreamCell(data []byte) (BatchCellView, error) {
 			c.State = stateCodes[code]
 		}
 	}
-	// Like the RJG1 decoder, refuse every encoding encodeStreamCell cannot
-	// produce, so a decoded cell re-encodes to exactly its own bytes.
+	// Refuse every encoding encodeStreamCell cannot produce, as the
+	// primitives refuse overlong varints and set bitset padding, so a
+	// decoded cell re-encodes to exactly its own bytes.
 	if flags&^(sfCacheHit|sfError|sfResult|sfTrace|sfParams) != 0 || flags&(sfResult|sfTrace) == sfTrace {
 		r.fail("bad flags %#x", flags)
 	}
@@ -412,44 +425,48 @@ func (c *Client) StreamBatch(ctx context.Context, id string, from int, fn func(B
 		return BatchResponse{}, err
 	}
 	defer resp.Body.Close()
-	if strings.Contains(resp.Header.Get("Content-Type"), BatchStreamContentType) {
-		return readBinaryStream(resp.Body, fn)
+	if !strings.Contains(resp.Header.Get("Content-Type"), BatchStreamContentType) {
+		return readSSEStream(resp.Body, fn)
 	}
-	return readSSEStream(resp.Body, fn)
-}
-
-func readBinaryStream(body io.Reader, fn func(BatchCellView) error) (BatchResponse, error) {
-	br := bufio.NewReader(body)
-	magic := make([]byte, len(streamMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	var out BatchResponse
+	if err := readStreamBody(resp.Body, fn, &out); err != nil {
 		return BatchResponse{}, err
 	}
-	if string(magic) != streamMagic {
-		return BatchResponse{}, fmt.Errorf("httpapi: batch stream: bad magic (want %q)", streamMagic)
+	return out, nil
+}
+
+// readStreamBody reads an RBS1 body: the magic, then frames up to the
+// summary frame. It hands each cell frame, decoded, to cell, skips
+// keepalives and decodes the summary's JSON into summary — a BatchResponse
+// for a batch stream, a JobGroupResponse for a job group's answer.
+func readStreamBody(body io.Reader, cell func(BatchCellView) error, summary any) error {
+	br := bufio.NewReader(body)
+	var magic [len(streamMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return err
+	}
+	if string(magic[:]) != streamMagic {
+		return fmt.Errorf("httpapi: stream: bad magic (want %q)", streamMagic)
 	}
 	for {
 		typ, payload, err := ReadStreamFrame(br)
 		if err != nil {
-			return BatchResponse{}, err
+			return err
 		}
 		switch typ {
 		case StreamFrameKeepalive:
 		case StreamFrameCell:
 			cv, err := DecodeStreamCell(payload)
 			if err != nil {
-				return BatchResponse{}, err
+				return err
 			}
-			if err := fn(cv); err != nil {
-				return BatchResponse{}, err
+			if err := cell(cv); err != nil {
+				return err
 			}
 		case StreamFrameBatch:
-			var out BatchResponse
-			if err := json.Unmarshal(payload, &out); err != nil {
-				return BatchResponse{}, err
-			}
-			return out, nil
+			return json.Unmarshal(payload, summary)
 		default:
-			return BatchResponse{}, fmt.Errorf("httpapi: batch stream: unknown frame type %d", typ)
+			return fmt.Errorf("httpapi: stream: unknown frame type %d", typ)
 		}
 	}
 }

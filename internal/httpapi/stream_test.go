@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -321,6 +323,62 @@ func TestStreamCellCodecEdges(t *testing.T) {
 	if err != nil || typ != StreamFrameCell || !reflect.DeepEqual(payload, good) {
 		t.Fatalf("frame round trip: typ %d err %v", typ, err)
 	}
+	// A frame several times frameChunk arrives whole, however its buffer
+	// grew, and leaves the reader at the next frame.
+	long := make([]byte, 3*frameChunk+5)
+	for i := range long {
+		long[i] = byte(i * 7)
+	}
+	var frames bytes.Buffer
+	_ = writeStreamFrame(&frames, StreamFrameCell, long)
+	_ = writeStreamFrame(&frames, StreamFrameKeepalive, nil)
+	if typ, payload, err := ReadStreamFrame(&frames); err != nil || typ != StreamFrameCell || !bytes.Equal(payload, long) {
+		t.Fatalf("long frame round trip: typ %d err %v, %d of %d bytes", typ, err, len(payload), len(long))
+	}
+	if typ, _, err := ReadStreamFrame(&frames); err != nil || typ != StreamFrameKeepalive {
+		t.Fatalf("frame after the long one: typ %d err %v", typ, err)
+	}
+}
+
+// TestStreamBodyAllocatesWhatItReads: a 15-byte RBS1 body whose one frame
+// header declares the 256 MiB frame limit fails as truncated, and reading
+// it allocates within 64 KiB of reading the same body declaring a 7-byte
+// frame. The reader reserves memory for the bytes it has read, not for the
+// length a header claims; the coordinator reads every worker's job-group
+// answer through it.
+func TestStreamBodyAllocatesWhatItReads(t *testing.T) {
+	body := func(declared uint32) []byte {
+		b := binary.BigEndian.AppendUint32(append([]byte(streamMagic), StreamFrameCell), declared)
+		return append(b, "abcdef"...)
+	}
+	read := func(b []byte) func() {
+		return func() {
+			_ = readStreamBody(bytes.NewReader(b), func(BatchCellView) error { return nil }, &BatchResponse{})
+		}
+	}
+	if err := readStreamBody(bytes.NewReader(body(maxStreamFrame)), func(BatchCellView) error { return nil }, &BatchResponse{}); err == nil {
+		t.Fatal("a 15-byte body declaring a 256 MiB frame was read")
+	}
+	big, small := allocBytes(read(body(maxStreamFrame))), allocBytes(read(body(7)))
+	if big > small+64<<10 {
+		t.Fatalf("declaring a %d-byte frame allocated %d bytes, declaring 7 bytes %d: %d bytes reserved for input never read",
+			maxStreamFrame, big, small, big-small)
+	}
+}
+
+// allocBytes returns the heap bytes one call of f allocates, the least of
+// three calls so that an allocation elsewhere in the process cannot inflate
+// it.
+func allocBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // TestBodyTooLargeIs413 is the oversized-body bugfix: a body over the cap

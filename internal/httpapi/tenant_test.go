@@ -380,6 +380,82 @@ func TestWaiterGateDegrades(t *testing.T) {
 	}
 }
 
+// TestHungUpWaitersFreeTheirSlot: a client that hangs up on a ?wait=
+// long-poll or on a result stream frees its tenant's waiter slot at once,
+// not when the wait (60 s here) or the stream's keepalive slice (10 s) runs
+// out.
+func TestHungUpWaitersFreeTheirSlot(t *testing.T) {
+	keys := "w " + tenant.HashKey("w-key") + " waiters=1\n"
+	ts, _ := newTenantServer(t, keys, service.Config{Workers: 1})
+	started, release := registerBlocker(t, "park-hangup")
+	ctx := context.Background()
+	c := NewClient(ts.URL, nil).WithAPIKey("w-key")
+	if _, err := c.PutGraphGen(ctx, "g", GenRequest{Gen: "gnp", N: 8, P: 0.5, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.SubmitBatch(ctx, BatchRequest{Graphs: []string{"g"}, Algos: []string{"park-hangup"}, Seeds: []uint64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // the batch stays running, so every wait on it parks
+	batchURL := ts.URL + "/v1/batches/" + b.ID
+
+	// slotHeld reports whether a short long-poll finds the one waiter slot
+	// taken: over the allowance it answers at once with Retry-After.
+	slotHeld := func() bool {
+		resp, _ := doRaw(t, http.MethodGet, batchURL+"?wait=1ms", "w-key", "")
+		return resp.Header.Get("Retry-After") != ""
+	}
+	// park starts a waiter on url and reports whether it took the slot; one
+	// that arrives while a probe holds the slot is answered at once instead.
+	park := func(url string) (hangUp func(), ok bool) {
+		wctx, cancel := context.WithCancel(ctx)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			req, _ := http.NewRequestWithContext(wctx, http.MethodGet, url, nil)
+			req.Header.Set(APIKeyHeader, "w-key")
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+		hangUp = func() { cancel(); <-done }
+		for {
+			select {
+			case <-done:
+				return hangUp, false
+			default:
+			}
+			if slotHeld() {
+				return hangUp, true
+			}
+		}
+	}
+
+	for name, path := range map[string]string{"long-poll": "?wait=60s", "stream": "/stream"} {
+		t.Run(name, func(t *testing.T) {
+			hangUp, ok := park(batchURL + path)
+			for tries := 1; !ok; tries++ {
+				if tries == 100 {
+					t.Fatal("the waiter never took the slot")
+				}
+				hangUp()
+				hangUp, ok = park(batchURL + path)
+			}
+			hangUp()
+			deadline := time.Now().Add(2 * time.Second)
+			for slotHeld() {
+				if time.Now().After(deadline) {
+					t.Fatal("the waiter slot was still held 2 s after its client hung up")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+	release()
+}
+
 // TestTenantPromMetrics checks the per-tenant Prometheus families appear
 // with tenant labels once keyed traffic has flowed.
 func TestTenantPromMetrics(t *testing.T) {

@@ -45,9 +45,6 @@ func (h *Hypergraph) N() int { return h.n }
 // M returns the number of hyperedges.
 func (h *Hypergraph) M() int { return len(h.edges) }
 
-// Rank returns the maximum edge size.
-func (h *Hypergraph) Rank() int { return h.rank }
-
 // Edge returns the sorted node list of edge id.
 func (h *Hypergraph) Edge(id int) []int { return h.edges[id] }
 

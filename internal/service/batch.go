@@ -759,10 +759,10 @@ func (b *Batches) Cancel(id string) (BatchView, error) {
 	return bt.view(), nil
 }
 
-// Wait blocks until the batch is terminal or d has elapsed (d <= 0 returns
-// immediately), then returns the current snapshot — the long-poll primitive
-// behind GET /v1/batches/{id}?wait=.
-func (b *Batches) Wait(id string, d time.Duration) (BatchView, bool) {
+// Wait blocks until the batch is terminal, d has elapsed (d <= 0 returns
+// immediately) or ctx is done, then returns the current snapshot — the
+// long-poll primitive behind GET /v1/batches/{id}?wait=.
+func (b *Batches) Wait(ctx context.Context, id string, d time.Duration) (BatchView, bool) {
 	b.mu.Lock()
 	bt, ok := b.batches[id]
 	b.mu.Unlock()
@@ -770,51 +770,56 @@ func (b *Batches) Wait(id string, d time.Duration) (BatchView, bool) {
 		return BatchView{}, false
 	}
 	if d > 0 {
+		t := time.NewTimer(d)
 		select {
 		case <-bt.doneCh:
-		case <-time.After(d):
+		case <-t.C:
+		case <-ctx.Done():
 		}
+		t.Stop()
 	}
 	return bt.view(), true
 }
 
-// WaitCell blocks until cell index of batch id reaches a terminal state,
-// the batch itself is terminal, or d elapses, then returns the cell's
-// snapshot — the per-cell long-poll primitive behind the streaming endpoint
-// GET /v1/batches/{id}/stream. The second result is false when the batch or
-// the index does not exist. A non-terminal snapshot after d means "still
-// running": callers emit a keepalive and wait again.
-func (b *Batches) WaitCell(id string, index int, d time.Duration) (BatchCellView, bool) {
+// WaitCell blocks until cell index of batch id is settled, d elapses or ctx
+// is done, then returns the cell's snapshot and whether it is settled — the
+// per-cell long-poll primitive behind the streaming endpoint
+// GET /v1/batches/{id}/stream. A settled cell is terminal, or frozen in a
+// terminal batch. The last result is false when the batch or the index does
+// not exist. An unsettled snapshot means "still running": callers emit a
+// keepalive and wait again.
+func (b *Batches) WaitCell(ctx context.Context, id string, index int, d time.Duration) (cv BatchCellView, settled, ok bool) {
 	b.mu.Lock()
 	bt, ok := b.batches[id]
 	b.mu.Unlock()
 	if !ok {
-		return BatchCellView{}, false
+		return BatchCellView{}, false, false
 	}
 	deadline := time.Now().Add(d)
 	for {
 		bt.mu.Lock()
 		if index < 0 || index >= len(bt.cells) {
 			bt.mu.Unlock()
-			return BatchCellView{}, false
+			return BatchCellView{}, false, false
 		}
-		cv := bt.cellViewLocked(index)
+		cv = bt.cellViewLocked(index)
 		// A resumed-then-terminal batch can hold non-terminal cells (their
 		// records were dropped before the crash); batch-terminal settles the
 		// wait so streams converge on exactly what the terminal GET shows.
-		settled := cv.State.Terminal() || bt.state.Terminal()
+		settled = cv.State.Terminal() || bt.state.Terminal()
 		progress := bt.progress
 		doneCh := bt.doneCh
 		bt.mu.Unlock()
 		remain := time.Until(deadline)
-		if settled || remain <= 0 {
-			return cv, true
+		if settled || remain <= 0 || ctx.Err() != nil {
+			return cv, settled, true
 		}
 		t := time.NewTimer(remain)
 		select {
 		case <-progress:
 		case <-doneCh:
 		case <-t.C:
+		case <-ctx.Done():
 		}
 		t.Stop()
 	}

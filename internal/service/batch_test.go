@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func waitBatch(t *testing.T, b *Batches, id string) BatchView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		v, ok := b.Wait(id, 100*time.Millisecond)
+		v, ok := b.Wait(context.Background(), id, 100*time.Millisecond)
 		if !ok {
 			t.Fatalf("batch %s disappeared", id)
 		}

@@ -7,6 +7,7 @@
 package store_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func waitTerminal(t *testing.T, batches *service.Batches, id string) service.Bat
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		v, ok := batches.Wait(id, time.Second)
+		v, ok := batches.Wait(context.Background(), id, time.Second)
 		if !ok {
 			t.Fatalf("batch %s disappeared", id)
 		}

@@ -228,19 +228,6 @@ func (k *Keyring) Len() int {
 	return len(t.byID)
 }
 
-// IDs returns the configured tenant identifiers (unordered).
-func (k *Keyring) IDs() []string {
-	t := k.table.Load()
-	if t == nil {
-		return nil
-	}
-	ids := make([]string, 0, len(t.byID))
-	for id := range t.byID {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // Allow consumes one token from id's rate bucket, reporting whether the
 // request may proceed. Tenants with Rate == 0 are unlimited. Unknown
 // tenants are allowed (auth has already vouched for them; a reload race

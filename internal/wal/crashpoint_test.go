@@ -22,6 +22,7 @@ package wal_test
 // here or flagged as uncovered.
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"sync/atomic"
@@ -47,7 +48,7 @@ func waitBatchTerminal(t *testing.T, b *service.Batches, id string) service.Batc
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		v, ok := b.Wait(id, 100*time.Millisecond)
+		v, ok := b.Wait(context.Background(), id, 100*time.Millisecond)
 		if !ok {
 			t.Fatalf("batch %s disappeared", id)
 		}

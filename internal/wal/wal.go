@@ -466,9 +466,6 @@ func (l *Log) Kill() {
 	l.buf = l.buf[:0]
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // RecordsSinceSnapshot reports how many records were appended since the
 // last successful snapshot (or Open) — the cadence input for callers that
 // snapshot every N records.
